@@ -30,26 +30,30 @@
 //! on PM are a pure function of `(key, IV, AAD, plaintext)` — identical for every
 //! ring depth.
 //!
-//! # Pipelined mirror-out
+//! # One mirror-out path
 //!
-//! A mirror-out splits into two phases:
+//! A mirror-out splits into two phases over the handle's single staging set
+//! (plaintext, sealed arena and IV batch, allocated once per handle):
 //!
-//! * **snapshot** — cheap: copy the parameters (and draw the per-tensor IVs) into one
-//!   of two pre-allocated staging slots;
-//! * **publish** — expensive: AES-GCM-seal the staged plaintext and commit it to the
-//!   inactive PM slot.
+//! * **snapshot** — cheap: draw the per-tensor IVs and copy the parameters into the
+//!   staging set;
+//! * **seal + publish** — expensive: AES-GCM-seal the staged plaintext into the arena
+//!   and commit it to the next ring slot.
 //!
-//! [`MirrorModel::mirror_out`] runs both phases synchronously.
-//! [`MirrorModel::snapshot_out`] runs only the snapshot and hands the publish to a
-//! background worker ([`plinius_parallel::Pipeline`]); [`MirrorModel::drain`] joins it
-//! at the next pipeline point, crediting the sealing time that was hidden behind the
+//! [`MirrorModel::mirror_out`] runs both phases inline. [`MirrorModel::snapshot_out`]
+//! runs the same snapshot and hands the staging set to a background seal worker
+//! ([`plinius_parallel::Pipeline`]); [`MirrorModel::drain`] joins it at the next
+//! pipeline point and commits, crediting the sealing time that was hidden behind the
 //! compute charged in between ([`SimSpan::overlap`]), so the steady-state simulated
-//! overhead approaches `max(compute, mirror)` instead of `compute + mirror`. Sealed
-//! bytes, committed epochs and restored weights are bit-identical between the two
-//! paths; only timing differs.
+//! overhead approaches `max(compute, mirror)` instead of `compute + mirror`. Every
+//! operation that needs the staging set (a mirror-out of either kind or a restore)
+//! first joins the publish in flight, so epochs commit in call order. Sealed bytes,
+//! committed epochs and restored weights are bit-identical between the two modes;
+//! only timing differs. The AES-GCM context is fetched from the enclave's per-key
+//! cache on every save and restore, so a re-provisioned key takes effect at once.
 //!
 //! A *mirror-in* (model restore) reads the active slot's encrypted buffers from PM
-//! into the enclave and decrypts them into the enclave model.
+//! into the staging arena and decrypts them into the enclave model.
 //!
 //! # Consistent snapshot reads
 //!
@@ -61,8 +65,10 @@
 //! re-read the header, and retry if anything moved. The epoch counter is strictly
 //! monotonic (every commit increments it by exactly one), so an unchanged header
 //! brackets an untouched slot — publishes only ever write the *inactive* slot, and
-//! reaching the active slot again requires at least one more epoch flip. Retries are
-//! counted in the `mirror.torn_read_retries` statistic.
+//! reaching the active slot again requires at least one more epoch flip.
+//! [`MirrorModel::restore_epoch`] and [`MirrorModel::read_sealed_into`] bracket their
+//! reads with the slot's ring-meta entry instead. Retries are counted in the
+//! `mirror.torn_read_retries` statistic.
 
 use crate::{bytes_to_f32s, f32s_to_bytes_into, PliniusContext, PliniusError};
 use parking_lot::Mutex;
@@ -233,17 +239,10 @@ pub(crate) struct TensorSlot {
     pub(crate) aad: Vec<u8>,
 }
 
-/// Reusable cryptographic scratch of one mirror: everything the steady-state
-/// mirror-out/mirror-in loop needs so that the encryption phase performs **no heap
-/// allocation after warm-up** (with serial sealing; thread fan-out adds only the
-/// O(#tensors) dispatch buffers).
-struct MirrorScratch {
-    /// Raw bytes of the key the cached GCM context was built for, to detect
-    /// re-provisioning.
-    key_bytes: Vec<u8>,
-    /// Cached AES-GCM context (key schedule + GHASH tables + selected engine), shared
-    /// with the enclave's per-key cache (expensive to rebuild per tensor).
-    gcm: Arc<AesGcm>,
+/// The staging set of one mirror handle: everything a mirror-out or mirror-in
+/// needs so that the steady state performs **no heap allocation after warm-up**
+/// (with serial sealing; thread fan-out adds only the O(#tensors) dispatch buffers).
+struct Staging {
     /// Plaintext staging buffer: all tensors contiguous in slot order.
     plain: Vec<u8>,
     /// Sealed-blob arena: all sealed tensors contiguous in slot order.
@@ -252,25 +251,28 @@ struct MirrorScratch {
     ivs: Vec<[u8; IV_LEN]>,
 }
 
-/// One set of pre-allocated staging buffers of the pipelined mirror-out: the snapshot
-/// phase fills `plain` + `ivs`, the background worker seals into `arena`. Two sets
-/// rotate (one possibly in flight, one spare), so the steady state allocates nothing.
-struct SealBuffers {
-    plain: Vec<u8>,
-    arena: Vec<u8>,
-    ivs: Vec<[u8; IV_LEN]>,
+impl Staging {
+    fn new(slots: &[TensorSlot]) -> Self {
+        Staging {
+            plain: vec![0u8; slots.iter().map(|s| s.plain_len).sum()],
+            arena: vec![0u8; slots.iter().map(|s| s.sealed_len).sum()],
+            ivs: vec![[0u8; IV_LEN]; slots.len()],
+        }
+    }
 }
 
-/// A staged snapshot travelling to the background sealing worker.
+/// A snapshot travelling to the background seal worker, with the key context it
+/// is sealed under.
 struct SealJob {
-    bufs: SealBuffers,
+    gcm: Arc<AesGcm>,
+    staging: Staging,
 }
 
-/// A sealed snapshot travelling back: the buffers are always returned (even on error)
-/// so they can be reused as the next spare set.
+/// A sealed snapshot travelling back: the staging set is always returned (even on
+/// error) so the handle keeps reusing it.
 struct SealDone {
-    bufs: SealBuffers,
-    result: Result<(), CryptoError>,
+    staging: Staging,
+    result: Result<(), PliniusError>,
 }
 
 /// Bookkeeping of one enqueued-but-not-yet-committed publish.
@@ -285,14 +287,15 @@ struct InflightPublish {
     model_bytes: usize,
 }
 
-/// The lazily built background-publish machinery of one mirror handle.
-struct MirrorPipeline {
-    /// Single background worker sealing staged snapshots.
-    worker: Pipeline<SealJob, SealDone>,
-    /// Raw bytes of the key the worker's GCM context was built for.
-    key_bytes: Vec<u8>,
-    /// The staging-buffer set not currently in flight.
-    spare: Option<SealBuffers>,
+/// Working state of one mirror handle.
+#[derive(Default)]
+struct MirrorState {
+    /// The staging set; `None` before first use, while a publish holds it on the
+    /// worker, or after a dying worker took it along.
+    staging: Option<Staging>,
+    /// Background seal worker, spawned on the first `snapshot_out` and rebuilt
+    /// only after it dies.
+    worker: Option<Pipeline<SealJob, SealDone>>,
     /// The publish currently in flight, if any (the pipeline is depth-1).
     inflight: Option<InflightPublish>,
 }
@@ -323,17 +326,14 @@ pub struct MirrorModel {
     /// Number of ring slots per tensor (`>= 2`), fixed at allocation time.
     ring_depth: usize,
     layer_nodes: Vec<PmPtr>,
-    /// Sealed length of every tensor of every layer, in layer order.
-    sealed_lens: Vec<Vec<usize>>,
-    /// Flat per-tensor layout (layer-major), fixed at allocate/open time.
-    slots: Vec<TensorSlot>,
+    /// Flat per-tensor layout (layer-major), fixed at allocate/open time; shared
+    /// with the seal worker.
+    slots: Arc<[TensorSlot]>,
     /// The `ring_depth` PM buffers of every tensor, in `slots` order.
     tensor_ptrs: Vec<Vec<PmPtr>>,
-    /// Lazily built reusable scratch; `Mutex` keeps `mirror_out(&self)` callable from
-    /// the existing persistence backends while the buffers are reused in place.
-    scratch: Mutex<Option<MirrorScratch>>,
-    /// Lazily built background-publish pipeline (overlapped mode only).
-    pipeline: Mutex<Option<MirrorPipeline>>,
+    /// Staging set and seal worker; the `Mutex` keeps `mirror_out(&self)` callable
+    /// from the persistence backends while the buffers are reused in place.
+    state: Mutex<MirrorState>,
     /// Torn-read fault injection (tests only); see
     /// [`MirrorModel::set_torn_read_hook`].
     torn_read_hook: Mutex<Option<TornReadHook>>,
@@ -351,18 +351,16 @@ impl std::fmt::Debug for MirrorModel {
 
 impl Clone for MirrorModel {
     fn clone(&self) -> Self {
-        // The scratch, pipeline and fault hook are per-handle working state: a clone
-        // starts cold.
+        // The staging set, seal worker and fault hook are per-handle working state:
+        // a clone starts cold.
         MirrorModel {
             header: self.header,
             meta: self.meta,
             ring_depth: self.ring_depth,
             layer_nodes: self.layer_nodes.clone(),
-            sealed_lens: self.sealed_lens.clone(),
-            slots: self.slots.clone(),
+            slots: Arc::clone(&self.slots),
             tensor_ptrs: self.tensor_ptrs.clone(),
-            scratch: Mutex::new(None),
-            pipeline: Mutex::new(None),
+            state: Mutex::default(),
             torn_read_hook: Mutex::new(None),
         }
     }
@@ -406,7 +404,7 @@ fn par_slot_slices(
 
 /// Builds the flat tensor layout (and precomputes every AAD) from the per-layer sealed
 /// lengths.
-fn build_slots(sealed_lens: &[Vec<usize>]) -> Result<Vec<TensorSlot>, PliniusError> {
+fn build_slots(sealed_lens: &[Vec<usize>]) -> Result<Arc<[TensorSlot]>, PliniusError> {
     let mut slots = Vec::new();
     let (mut plain_off, mut sealed_off) = (0usize, 0usize);
     for (i, layer) in sealed_lens.iter().enumerate() {
@@ -429,7 +427,7 @@ fn build_slots(sealed_lens: &[Vec<usize>]) -> Result<Vec<TensorSlot>, PliniusErr
             sealed_off += sealed_len;
         }
     }
-    Ok(slots)
+    Ok(slots.into())
 }
 
 impl MirrorModel {
@@ -538,31 +536,40 @@ impl MirrorModel {
             meta,
             ring_depth: ring,
             layer_nodes,
-            sealed_lens: layer_tensor_lens,
             slots,
             tensor_ptrs,
-            scratch: Mutex::new(None),
-            pipeline: Mutex::new(None),
+            state: Mutex::default(),
             torn_read_hook: Mutex::new(None),
         })
     }
 
     /// Opens an existing mirror (after a restart), walking the persistent linked list.
+    /// Every count and pointer read here comes from untrusted PM: the walk visits at
+    /// most the header's `num_layers` nodes (bounded by what the PM region can hold),
+    /// every node must carry exactly five tensors, and no capacity is reserved from
+    /// a stored count.
     ///
     /// # Errors
     ///
-    /// Returns [`PliniusError::NoMirrorModel`] if no mirror exists.
+    /// Returns [`PliniusError::NoMirrorModel`] if no mirror exists, or
+    /// [`PliniusError::MirrorMismatch`] if the persistent metadata is inconsistent.
     pub fn open(ctx: &PliniusContext) -> Result<Self, PliniusError> {
         let header = ctx.romulus().root(ctx.model_root())?;
         if header.is_null() {
             return Err(PliniusError::NoMirrorModel);
         }
         let rom = ctx.romulus();
-        let num_layers = rom.read_u64(header.add(8))? as usize;
+        let num_layers = rom.read_u64(header.add(8))?;
         let ring = rom.read_u64(header.add(HDR_RING))? as usize;
         if !(2..=65_536).contains(&ring) {
             return Err(PliniusError::MirrorMismatch(format!(
                 "implausible ring depth {ring} in the mirror header"
+            )));
+        }
+        let region = rom.region_size() as u64;
+        if num_layers > region / node_bytes(ring) as u64 {
+            return Err(PliniusError::MirrorMismatch(format!(
+                "header declares {num_layers} layers, more than the PM region can hold"
             )));
         }
         let meta = PmPtr::from_offset(rom.read_u64(header.add(HDR_META))?);
@@ -572,30 +579,44 @@ impl MirrorModel {
             ));
         }
         let stride = (ring * 8 + 8) as u64;
-        let mut layer_nodes = Vec::with_capacity(num_layers);
-        let mut sealed_lens = Vec::with_capacity(num_layers);
+        let mut layer_nodes = Vec::new();
+        let mut sealed_lens = Vec::new();
         let mut tensor_ptrs: Vec<Vec<PmPtr>> = Vec::new();
+        let mut sealed_total = 0u64;
         let mut cursor = PmPtr::from_offset(rom.read_u64(header.add(16))?);
-        while !cursor.is_null() {
-            let num_tensors = rom.read_u64(cursor.add(8))? as usize;
-            let mut lens = Vec::with_capacity(num_tensors);
-            for j in 0..num_tensors {
-                let field = cursor.add(16 + (j as u64) * stride);
-                let mut ring_ptrs = Vec::with_capacity(ring);
-                for s in 0..ring {
-                    ring_ptrs.push(PmPtr::from_offset(rom.read_u64(field.add((s * 8) as u64))?));
+        while !cursor.is_null() && (layer_nodes.len() as u64) < num_layers {
+            let num_tensors = rom.read_u64(cursor.add(8))?;
+            if num_tensors != TENSORS_PER_LAYER as u64 {
+                return Err(PliniusError::MirrorMismatch(format!(
+                    "layer node {} holds {num_tensors} tensors, expected {TENSORS_PER_LAYER}",
+                    layer_nodes.len()
+                )));
+            }
+            let mut lens = Vec::with_capacity(TENSORS_PER_LAYER);
+            for j in 0..TENSORS_PER_LAYER as u64 {
+                let field = cursor.add(16 + j * stride);
+                let ring_ptrs = (0..ring as u64)
+                    .map(|s| Ok(PmPtr::from_offset(rom.read_u64(field.add(s * 8))?)))
+                    .collect::<Result<Vec<_>, PliniusError>>()?;
+                let len = rom.read_u64(field.add((ring * 8) as u64))?;
+                sealed_total = sealed_total.saturating_add(len);
+                if sealed_total > region {
+                    return Err(PliniusError::MirrorMismatch(
+                        "sealed tensor lengths exceed the PM region".into(),
+                    ));
                 }
-                lens.push(rom.read_u64(field.add((ring * 8) as u64))? as usize);
+                lens.push(len as usize);
                 tensor_ptrs.push(ring_ptrs);
             }
             layer_nodes.push(cursor);
             sealed_lens.push(lens);
             cursor = PmPtr::from_offset(rom.read_u64(cursor)?);
         }
-        if layer_nodes.len() != num_layers {
+        if layer_nodes.len() as u64 != num_layers || !cursor.is_null() {
             return Err(PliniusError::MirrorMismatch(format!(
-                "header declares {num_layers} layers but the list holds {}",
-                layer_nodes.len()
+                "header declares {num_layers} layers but the list holds {}{}",
+                layer_nodes.len(),
+                if cursor.is_null() { "" } else { " and more" }
             )));
         }
         let slots = build_slots(&sealed_lens)?;
@@ -604,54 +625,11 @@ impl MirrorModel {
             meta,
             ring_depth: ring,
             layer_nodes,
-            sealed_lens,
             slots,
             tensor_ptrs,
-            scratch: Mutex::new(None),
-            pipeline: Mutex::new(None),
+            state: Mutex::default(),
             torn_read_hook: Mutex::new(None),
         })
-    }
-
-    /// Returns the warm scratch, (re)building it if absent or if the enclave's model
-    /// key changed since the cached GCM context was derived. The key comparison
-    /// borrows the stored key ([`plinius_sgx::Enclave::with_key`]) so the steady-state
-    /// path clones nothing.
-    fn ensure_scratch<'a>(
-        &self,
-        ctx: &PliniusContext,
-        guard: &'a mut Option<MirrorScratch>,
-    ) -> Result<&'a mut MirrorScratch, PliniusError> {
-        let stale = match guard.as_ref() {
-            Some(s) => !ctx
-                .enclave()
-                .with_key(ctx.key_name(), |k| k.as_bytes() == s.key_bytes.as_slice())
-                .ok_or(PliniusError::KeyNotProvisioned)?,
-            None => true,
-        };
-        if stale {
-            let key = ctx.key()?;
-            let gcm = ctx.gcm()?;
-            match guard.as_mut() {
-                Some(s) => {
-                    s.gcm = gcm;
-                    s.key_bytes.clear();
-                    s.key_bytes.extend_from_slice(key.as_bytes());
-                }
-                None => {
-                    let plain_total = self.slots.iter().map(|s| s.plain_len).sum();
-                    let sealed_total = self.slots.iter().map(|s| s.sealed_len).sum();
-                    *guard = Some(MirrorScratch {
-                        key_bytes: key.as_bytes().to_vec(),
-                        gcm,
-                        plain: vec![0u8; plain_total],
-                        arena: vec![0u8; sealed_total],
-                        ivs: vec![[0u8; IV_LEN]; self.slots.len()],
-                    });
-                }
-            }
-        }
-        Ok(guard.as_mut().expect("scratch built above"))
     }
 
     /// Number of mirrored (trainable) layers.
@@ -662,10 +640,7 @@ impl MirrorModel {
     /// Bytes of per-layer encryption metadata stored on PM (28 B per tensor, 140 B per
     /// layer with five tensors), as accounted in §VI of the paper.
     pub fn metadata_bytes(&self) -> usize {
-        self.sealed_lens
-            .iter()
-            .map(|l| l.len() * SEAL_OVERHEAD)
-            .sum()
+        self.slots.len() * SEAL_OVERHEAD
     }
 
     /// The iteration counter currently stored in the mirror header.
@@ -782,7 +757,7 @@ impl MirrorModel {
     ///
     /// Test scaffolding (like [`plinius_romulus::Romulus::inject_failure`]): a hook
     /// that publishes must do so through a **separate cloned handle** — `mirror_in`
-    /// holds this handle's scratch lock while the hook runs, so publishing through
+    /// holds this handle's state lock while the hook runs, so publishing through
     /// the same handle would deadlock.
     pub fn set_torn_read_hook(&self, hook: Option<Box<dyn FnMut(u64) + Send>>) {
         *self.torn_read_hook.lock() = hook;
@@ -824,7 +799,9 @@ impl MirrorModel {
 
     /// Mirror-out (Algorithm 3, `mirror_out`): encrypts the enclave model's parameters
     /// and synchronises the PM mirror within one durable transaction, recording the
-    /// iteration counter.
+    /// iteration counter. A publish still in flight from
+    /// [`MirrorModel::snapshot_out`] is joined and committed first, so epochs always
+    /// commit in call order.
     ///
     /// The per-tensor AES-GCM sealing of independent tensors runs across scoped threads
     /// (worker count from [`plinius_parallel::max_threads`], override with
@@ -834,7 +811,8 @@ impl MirrorModel {
     /// # Errors
     ///
     /// Returns [`PliniusError::KeyNotProvisioned`] without a model key,
-    /// [`PliniusError::MirrorMismatch`] if the model shape changed, or Romulus errors.
+    /// [`PliniusError::MirrorMismatch`] if the model shape changed, any error of the
+    /// joined publish, or Romulus errors.
     pub fn mirror_out(
         &self,
         ctx: &PliniusContext,
@@ -858,41 +836,33 @@ impl MirrorModel {
     ) -> Result<MirrorOutReport, PliniusError> {
         let clock = ctx.clock();
         self.check_model_shape(network)?;
-        let mut guard = self.scratch.lock();
-        let scratch = self.ensure_scratch(ctx, &mut guard)?;
-        // The IV sequence is seeded from one `sgx_read_rand` draw (exactly as many as
-        // the serial path used) and hands every tensor its IV by *slot index*, so the
-        // sealed bytes do not depend on the thread schedule.
-        let ivs = IvSequence::from_rng(&mut ctx.enclave_rng());
-        for (idx, iv) in scratch.ivs.iter_mut().enumerate() {
-            *iv = ivs.iv(idx as u64);
-        }
-        let mut model_bytes = 0usize;
-        // Phase 1: in-enclave encryption of every parameter tensor, staged through and
-        // sealed into the reusable scratch — no heap allocation in the steady state.
+        let mut state = self.state.lock();
+        self.join_inflight(ctx, &mut state)?;
+        let gcm = ctx.gcm()?;
+        let staging = state
+            .staging
+            .get_or_insert_with(|| Staging::new(&self.slots));
+        self.snapshot(ctx, staging, network);
+        // Phase 1: in-enclave encryption. Each tensor's modeled crypto cost is charged
+        // serially in slot order (hence the same simulated-time total for every
+        // thread count), then the real sealing work fans out across threads.
         let (seal_result, encrypt) = SimSpan::record(&clock, || {
-            // SimSpan accounting stays deterministic: each tensor's modeled crypto cost
-            // is charged serially in slot order (same per-tensor charges, hence the
-            // same simulated-time total as the serial path), then the real sealing work
-            // fans out across threads.
-            for slot in &self.slots {
-                model_bytes += slot.plain_len;
+            for slot in self.slots.iter() {
                 ctx.enclave().charge_crypto(slot.plain_len as u64);
             }
-            Self::stage_and_seal(&self.slots, scratch, network, threads)
+            Self::seal(&self.slots, &gcm, staging, threads)
         });
         seal_result?;
-        // Phase 2: bulk-publish the sealed arena into the inactive slot and commit
-        // the epoch flip durably.
-        let arena = &scratch.arena;
+        // Phase 2: bulk-publish the sealed arena into the next slot and commit the
+        // epoch flip durably.
         let (write_result, write) = SimSpan::record(&clock, || {
-            self.commit_arena(ctx, arena, network.iteration())
+            self.commit_arena(ctx, &staging.arena, network.iteration())
         });
         write_result?;
         Ok(MirrorOutReport {
             encrypt,
             write,
-            model_bytes,
+            model_bytes: staging.plain.len(),
             metadata_bytes: self.metadata_bytes(),
         })
     }
@@ -936,28 +906,31 @@ impl MirrorModel {
         Ok(())
     }
 
-    /// Copies every trainable tensor's parameters into the staging buffer, in slot
-    /// order. The caller has already verified the model shape.
-    fn stage_plaintext(slots: &[TensorSlot], plain: &mut [u8], network: &Network) {
-        let mut slot_iter = slots.iter();
-        for layer in network.layers().iter() {
-            let Some(views) = layer.param_views() else {
-                continue;
-            };
-            for view in views {
-                let slot = slot_iter.next().expect("shape checked");
-                f32s_to_bytes_into(
-                    view.data,
-                    &mut plain[slot.plain_off..slot.plain_off + slot.plain_len],
-                );
-            }
+    /// The snapshot phase of both mirror-out modes: draws the IV batch and copies
+    /// every trainable tensor's parameters into the staging set, in slot order. The
+    /// caller has already verified the model shape.
+    ///
+    /// The IV sequence is seeded from one `sgx_read_rand` draw and hands every tensor
+    /// its IV by *slot index*, so the sealed bytes depend neither on the thread
+    /// schedule nor on the mode.
+    fn snapshot(&self, ctx: &PliniusContext, staging: &mut Staging, network: &Network) {
+        let ivs = IvSequence::from_rng(&mut ctx.enclave_rng());
+        for (idx, iv) in staging.ivs.iter_mut().enumerate() {
+            *iv = ivs.iv(idx as u64);
+        }
+        let views = network.layers().iter().filter_map(|l| l.param_views());
+        for (slot, view) in self.slots.iter().zip(views.flatten()) {
+            f32s_to_bytes_into(
+                view.data,
+                &mut staging.plain[slot.plain_off..slot.plain_off + slot.plain_len],
+            );
         }
     }
 
-    /// Phase-1 worker: stages every tensor's plaintext into the scratch and seals it
-    /// into the arena.
+    /// The seal routine of both mirror-out modes (the background worker calls it with
+    /// `threads = 1`): seals every staged tensor into the arena.
     ///
-    /// * `threads <= 1`: fully serial, zero heap allocations after warm-up.
+    /// * `threads <= 1`: fully serial, zero heap allocations.
     /// * many tensors: fan out across tensors (each tensor sealed serially on one
     ///   worker) — the layout mirrors the seed's per-tensor parallelism.
     /// * few large tensors: seal serially in slot order but fan the CTR keystream of
@@ -965,24 +938,17 @@ impl MirrorModel {
     ///
     /// All three produce bit-identical sealed bytes: the ciphertext of a tensor is a
     /// pure function of `(key, IV, AAD, plaintext)` regardless of chunking.
-    fn stage_and_seal(
+    fn seal(
         slots: &[TensorSlot],
-        scratch: &mut MirrorScratch,
-        network: &Network,
+        gcm: &AesGcm,
+        staging: &mut Staging,
         threads: usize,
     ) -> Result<(), PliniusError> {
-        let MirrorScratch {
-            gcm,
-            plain,
-            arena,
-            ivs,
-            ..
-        } = scratch;
-        Self::stage_plaintext(slots, plain, network);
+        let Staging { plain, arena, ivs } = staging;
+        let (plain, ivs) = (&*plain, &*ivs);
         let threads = threads.max(1);
         if threads > 1 && slots.len() >= 2 * threads {
             // Many tensors: one worker per tensor, disjoint arena slices.
-            let plain = &*plain;
             par_slot_slices(
                 slots,
                 arena,
@@ -999,7 +965,7 @@ impl MirrorModel {
                         1,
                     )
                 },
-            )?;
+            )
         } else {
             // Serial over tensors; intra-tensor CTR fan-out when threads are offered.
             for (idx, slot) in slots.iter().enumerate() {
@@ -1012,13 +978,94 @@ impl MirrorModel {
                     threads,
                 )?;
             }
+            Ok(())
+        }
+    }
+
+    /// The seqlock read of every PM reader: loads a bracket (the mirror header or a
+    /// ring-meta entry), runs `read` against it, and accepts the read only if a
+    /// second load returns the same bracket. Each mismatch counts one
+    /// `mirror.torn_read_retries` and retries, at most [`MAX_TORN_READ_RETRIES`]
+    /// times. `read` receives the 0-based attempt index.
+    fn bracketed_read<B: PartialEq>(
+        ctx: &PliniusContext,
+        what: &str,
+        mut load: impl FnMut() -> Result<B, PliniusError>,
+        mut read: impl FnMut(u64, &B) -> Result<(), PliniusError>,
+    ) -> Result<B, PliniusError> {
+        for attempt in 0..=MAX_TORN_READ_RETRIES {
+            let before = load()?;
+            read(attempt, &before)?;
+            if load()? == before {
+                return Ok(before);
+            }
+            ctx.stats().counter("mirror.torn_read_retries").incr();
+        }
+        Err(PliniusError::MirrorMismatch(format!(
+            "{what} kept moving during {MAX_TORN_READ_RETRIES} snapshot-read retries"
+        )))
+    }
+
+    /// Reads ring slot `s`'s sealed tensors from PM into `arena`, in slot order.
+    fn read_slot_into(
+        &self,
+        ctx: &PliniusContext,
+        s: usize,
+        arena: &mut [u8],
+    ) -> Result<(), PliniusError> {
+        for (ptrs, slot) in self.tensor_ptrs.iter().zip(self.slots.iter()) {
+            ctx.romulus().read_bytes_into(
+                ptrs[s],
+                &mut arena[slot.sealed_off..slot.sealed_off + slot.sealed_len],
+            )?;
         }
         Ok(())
     }
 
+    /// The restore path of [`MirrorModel::mirror_in`] and
+    /// [`MirrorModel::restore_epoch`]: checks the model shape, joins any publish in
+    /// flight, lets `read` fill
+    /// the staging arena with one epoch's sealed tensors (returning its
+    /// `(iteration, epoch)`), then decrypts, installs and reports.
+    fn restore(
+        &self,
+        ctx: &PliniusContext,
+        network: &mut Network,
+        read: impl FnOnce(&mut [u8]) -> Result<(u64, u64), PliniusError>,
+    ) -> Result<MirrorInReport, PliniusError> {
+        let clock = ctx.clock();
+        self.check_model_shape(network)?;
+        let mut state = self.state.lock();
+        self.join_inflight(ctx, &mut state)?;
+        let gcm = ctx.gcm()?;
+        let staging = state
+            .staging
+            .get_or_insert_with(|| Staging::new(&self.slots));
+        // Phase 1: bracketed read of the slot's sealed buffers from PM straight into
+        // the reusable arena — no per-tensor vectors, no blob clones.
+        let (read_out, read) = SimSpan::record(&clock, || read(&mut staging.arena));
+        let (iteration, epoch) = read_out?;
+        // Phase 2: in-enclave decryption (across threads — each tensor is an
+        // independent AES-GCM open on a borrowed [`SealedView`]) and serial
+        // installation into the enclave model.
+        let (decrypt_result, decrypt) = SimSpan::record(&clock, || {
+            self.decrypt_arena_into_network(ctx, &gcm, staging, network)
+        });
+        let model_bytes = decrypt_result?;
+        network.set_iteration(iteration);
+        Ok(MirrorInReport {
+            read,
+            decrypt,
+            iteration,
+            epoch,
+            model_bytes,
+        })
+    }
+
     /// Mirror-in (Algorithm 3, `mirror_in`): reads the encrypted mirror from PM into the
     /// enclave, decrypts it and installs the parameters into the enclave model, restoring
-    /// the iteration counter.
+    /// the iteration counter. A publish still in flight on this handle is joined and
+    /// committed first.
     ///
     /// The read is a consistent snapshot (see the module docs): the header
     /// `[iteration, epoch, active_slot]` is loaded before and after the slot's
@@ -1036,55 +1083,19 @@ impl MirrorModel {
         ctx: &PliniusContext,
         network: &mut Network,
     ) -> Result<MirrorInReport, PliniusError> {
-        let clock = ctx.clock();
-        let rom = ctx.romulus();
-        let mut guard = self.scratch.lock();
-        let scratch = self.ensure_scratch(ctx, &mut guard)?;
-        // Phase 1: seqlock read of the active slot's encrypted buffers from PM
-        // straight into the reusable arena — no per-tensor vectors, no blob clones.
-        let (read_out, read) =
-            SimSpan::record(&clock, || -> Result<HeaderSnapshot, PliniusError> {
-                let mut attempt = 0u64;
-                loop {
-                    let before = self.header_snapshot(ctx)?;
+        self.restore(ctx, network, |arena| {
+            let header = Self::bracketed_read(
+                ctx,
+                "mirror header",
+                || self.header_snapshot(ctx),
+                |attempt, before| {
                     if let Some(hook) = self.torn_read_hook.lock().as_mut() {
                         hook(attempt);
                     }
-                    for (idx, slot) in self.slots.iter().enumerate() {
-                        rom.read_bytes_into(
-                            self.tensor_ptrs[idx][before.active],
-                            &mut scratch.arena[slot.sealed_off..slot.sealed_off + slot.sealed_len],
-                        )?;
-                    }
-                    if self.header_snapshot(ctx)? == before {
-                        return Ok(before);
-                    }
-                    ctx.stats().counter("mirror.torn_read_retries").incr();
-                    attempt += 1;
-                    if attempt > MAX_TORN_READ_RETRIES {
-                        return Err(PliniusError::MirrorMismatch(format!(
-                            "mirror header kept moving during {MAX_TORN_READ_RETRIES} \
-                             snapshot-read retries"
-                        )));
-                    }
-                }
-            });
-        let header = read_out?;
-        let iteration = header.iteration;
-        // Phase 2: in-enclave decryption (across threads — each tensor is an
-        // independent AES-GCM open on a borrowed [`SealedView`]) and serial
-        // installation into the enclave model.
-        let (decrypt_result, decrypt) = SimSpan::record(&clock, || {
-            self.decrypt_arena_into_network(ctx, scratch, network)
-        });
-        let model_bytes = decrypt_result?;
-        network.set_iteration(iteration);
-        Ok(MirrorInReport {
-            read,
-            decrypt,
-            iteration,
-            epoch: header.epoch,
-            model_bytes,
+                    self.read_slot_into(ctx, before.active, arena)
+                },
+            )?;
+            Ok((header.iteration, header.epoch))
         })
     }
 
@@ -1111,49 +1122,20 @@ impl MirrorModel {
         if epoch == 0 {
             return Err(PliniusError::EpochNotRetained(epoch));
         }
-        let clock = ctx.clock();
-        let rom = ctx.romulus();
-        let slot_idx = (epoch % self.ring_depth as u64) as usize;
-        let mut guard = self.scratch.lock();
-        let scratch = self.ensure_scratch(ctx, &mut guard)?;
-        let (read_out, read) = SimSpan::record(&clock, || -> Result<u64, PliniusError> {
-            let mut attempt = 0u64;
-            loop {
-                let before = self.meta_entry(ctx, slot_idx)?;
-                if before.0 != epoch {
-                    return Err(PliniusError::EpochNotRetained(epoch));
-                }
-                for (idx, slot) in self.slots.iter().enumerate() {
-                    rom.read_bytes_into(
-                        self.tensor_ptrs[idx][slot_idx],
-                        &mut scratch.arena[slot.sealed_off..slot.sealed_off + slot.sealed_len],
-                    )?;
-                }
-                if self.meta_entry(ctx, slot_idx)? == before {
-                    return Ok(before.1);
-                }
-                ctx.stats().counter("mirror.torn_read_retries").incr();
-                attempt += 1;
-                if attempt > MAX_TORN_READ_RETRIES {
-                    return Err(PliniusError::MirrorMismatch(format!(
-                        "ring slot {slot_idx} kept moving during {MAX_TORN_READ_RETRIES} \
-                         snapshot-read retries"
-                    )));
-                }
-            }
-        });
-        let iteration = read_out?;
-        let (decrypt_result, decrypt) = SimSpan::record(&clock, || {
-            self.decrypt_arena_into_network(ctx, scratch, network)
-        });
-        let model_bytes = decrypt_result?;
-        network.set_iteration(iteration);
-        Ok(MirrorInReport {
-            read,
-            decrypt,
-            iteration,
-            epoch,
-            model_bytes,
+        let s = (epoch % self.ring_depth as u64) as usize;
+        self.restore(ctx, network, |arena| {
+            let (_, iteration) = Self::bracketed_read(
+                ctx,
+                "ring slot",
+                || self.meta_entry(ctx, s),
+                |_, &(e, _)| {
+                    if e != epoch {
+                        return Err(PliniusError::EpochNotRetained(epoch));
+                    }
+                    self.read_slot_into(ctx, s, arena)
+                },
+            )?;
+            Ok((iteration, epoch))
         })
     }
 
@@ -1189,30 +1171,21 @@ impl MirrorModel {
                 slot.sealed_len
             )));
         }
-        let rom = ctx.romulus();
-        let slot_idx = (epoch % self.ring_depth as u64) as usize;
-        let mut attempt = 0u64;
-        loop {
-            let before = self.meta_entry(ctx, slot_idx)?;
-            if before.0 != epoch {
-                return Err(PliniusError::EpochNotRetained(epoch));
-            }
-            rom.read_bytes_into(
-                self.tensor_ptrs[flat][slot_idx],
-                &mut out[..slot.sealed_len],
-            )?;
-            if self.meta_entry(ctx, slot_idx)? == before {
-                return Ok(slot.sealed_len);
-            }
-            ctx.stats().counter("mirror.torn_read_retries").incr();
-            attempt += 1;
-            if attempt > MAX_TORN_READ_RETRIES {
-                return Err(PliniusError::MirrorMismatch(format!(
-                    "ring slot {slot_idx} kept moving during {MAX_TORN_READ_RETRIES} \
-                     snapshot-read retries"
-                )));
-            }
-        }
+        let s = (epoch % self.ring_depth as u64) as usize;
+        Self::bracketed_read(
+            ctx,
+            "ring slot",
+            || self.meta_entry(ctx, s),
+            |_, &(e, _)| {
+                if e != epoch {
+                    return Err(PliniusError::EpochNotRetained(epoch));
+                }
+                Ok(ctx
+                    .romulus()
+                    .read_bytes_into(self.tensor_ptrs[flat][s], &mut out[..slot.sealed_len])?)
+            },
+        )?;
+        Ok(slot.sealed_len)
     }
 
     /// The flat per-tensor layout (layer-major): the VFS's view of what is sealed.
@@ -1253,70 +1226,44 @@ impl MirrorModel {
     fn decrypt_arena_into_network(
         &self,
         ctx: &PliniusContext,
-        scratch: &mut MirrorScratch,
+        gcm: &AesGcm,
+        staging: &mut Staging,
         network: &mut Network,
     ) -> Result<usize, PliniusError> {
-        for slot in &self.slots {
+        for slot in self.slots.iter() {
             ctx.enclave().charge_crypto(slot.sealed_len as u64);
         }
         let threads = plinius_parallel::max_threads();
-        Self::open_arena(&self.slots, scratch, threads)?;
-        // Install layer by layer in mirror order, surfacing errors exactly as
-        // the serial loop would (layer 0's failures before layer 1's).
+        Self::open_arena(&self.slots, gcm, staging, threads)?;
+        // Install layer by layer in mirror order (the caller checked the shape).
         let mut slot_iter = self.slots.iter();
-        let mut model_bytes = 0usize;
-        let mut node_idx = 0usize;
-        for layer in network.layers_mut().iter_mut() {
-            if !layer.is_trainable() {
-                continue;
-            }
-            if node_idx >= self.layer_nodes.len() {
-                return Err(PliniusError::MirrorMismatch(
-                    "enclave model has more trainable layers than the mirror".into(),
-                ));
-            }
-            let mut tensors = Vec::with_capacity(TENSORS_PER_LAYER);
-            for _ in 0..self.sealed_lens[node_idx].len() {
-                let slot = slot_iter.next().expect("one slot per tensor");
-                let tensor =
-                    bytes_to_f32s(&scratch.plain[slot.plain_off..slot.plain_off + slot.plain_len])?;
-                model_bytes += tensor.len() * 4;
-                tensors.push(tensor);
-            }
-            let expected: Vec<usize> = layer.params().iter().map(|p| p.data.len()).collect();
-            let got: Vec<usize> = tensors.iter().map(|t| t.len()).collect();
-            if expected != got {
-                return Err(PliniusError::MirrorMismatch(format!(
-                    "layer {node_idx}: expected tensor sizes {expected:?}, mirror holds {got:?}"
-                )));
-            }
+        for layer in network.layers_mut().iter_mut().filter(|l| l.is_trainable()) {
+            let tensors = slot_iter
+                .by_ref()
+                .take(TENSORS_PER_LAYER)
+                .map(|slot| {
+                    bytes_to_f32s(&staging.plain[slot.plain_off..slot.plain_off + slot.plain_len])
+                })
+                .collect::<Result<Vec<_>, _>>()?;
             layer.set_params(&tensors);
-            node_idx += 1;
         }
-        if node_idx != self.layer_nodes.len() {
-            return Err(PliniusError::MirrorMismatch(
-                "mirror holds more layers than the enclave model".into(),
-            ));
-        }
-        Ok(model_bytes)
+        Ok(staging.plain.len())
     }
 
     /// Phase-2 worker of mirror-in: authenticates and decrypts every sealed tensor of
     /// the arena into the plaintext staging buffer, via borrowed [`SealedView`]s (no
     /// blob copies). Errors surface in slot order. Mirrors the thread strategy of
-    /// [`MirrorModel::stage_and_seal`]; the plaintext is bit-identical for every
-    /// thread count.
+    /// [`MirrorModel::seal`]; the plaintext is bit-identical for every thread count.
     fn open_arena(
         slots: &[TensorSlot],
-        scratch: &mut MirrorScratch,
+        gcm: &AesGcm,
+        staging: &mut Staging,
         threads: usize,
     ) -> Result<(), PliniusError> {
-        let MirrorScratch {
-            gcm, plain, arena, ..
-        } = scratch;
+        let Staging { plain, arena, .. } = staging;
+        let arena = &*arena;
         let threads = threads.max(1);
         if threads > 1 && slots.len() >= 2 * threads {
-            let arena = &*arena;
             par_slot_slices(
                 slots,
                 plain,
@@ -1344,102 +1291,42 @@ impl MirrorModel {
 
     // --------------------------------------------------------- pipelined mirror-out
 
-    /// Returns the warm publish pipeline, (re)building the background worker if
-    /// absent, if the enclave's model key changed, or if the previous worker died
-    /// (its staging buffers are gone with it — `spare == None` with nothing in
-    /// flight is exactly that post-failure state, since every live idle pipeline
-    /// holds its spare set). Must only be called with no publish in flight (the
-    /// caller joins first), so a rebuild never drops work.
-    fn ensure_pipeline<'a>(
-        &self,
-        ctx: &PliniusContext,
-        guard: &'a mut Option<MirrorPipeline>,
-    ) -> Result<&'a mut MirrorPipeline, PliniusError> {
-        let stale = match guard.as_ref() {
-            Some(p) => {
-                p.spare.is_none()
-                    || !ctx
-                        .enclave()
-                        .with_key(ctx.key_name(), |k| k.as_bytes() == p.key_bytes.as_slice())
-                        .ok_or(PliniusError::KeyNotProvisioned)?
-            }
-            None => true,
-        };
-        if stale {
-            let key = ctx.key()?;
-            let gcm = ctx.gcm()?;
-            let slots: Arc<[TensorSlot]> = self.slots.clone().into();
-            let worker = Pipeline::spawn("plinius-mirror-seal", move |job: SealJob| {
-                let SealJob { mut bufs } = job;
-                let mut result = Ok(());
-                // Serial in slot order: the worker thread *is* the parallel lane; the
-                // sealed bytes are a pure function of (key, IV, AAD, plaintext), so
-                // they match the synchronous path bit for bit.
-                for (idx, slot) in slots.iter().enumerate() {
-                    if let Err(e) = seal_into_with_threads(
-                        &gcm,
-                        &bufs.plain[slot.plain_off..slot.plain_off + slot.plain_len],
-                        &slot.aad,
-                        &bufs.ivs[idx],
-                        &mut bufs.arena[slot.sealed_off..slot.sealed_off + slot.sealed_len],
-                        1,
-                    ) {
-                        result = Err(e);
-                        break;
-                    }
-                }
-                SealDone { bufs, result }
-            });
-            // Reuse the previous staging buffers across a key rotation; allocate them
-            // once on first use.
-            let spare = match guard.take().and_then(|old| old.spare) {
-                Some(bufs) => bufs,
-                None => SealBuffers {
-                    plain: vec![0u8; self.slots.iter().map(|s| s.plain_len).sum()],
-                    arena: vec![0u8; self.slots.iter().map(|s| s.sealed_len).sum()],
-                    ivs: vec![[0u8; IV_LEN]; self.slots.len()],
-                },
-            };
-            *guard = Some(MirrorPipeline {
-                worker,
-                key_bytes: key.as_bytes().to_vec(),
-                spare: Some(spare),
-                inflight: None,
-            });
-        }
-        Ok(guard.as_mut().expect("pipeline built above"))
-    }
-
     /// Joins the in-flight publish, if any: waits for the background sealing to
     /// finish, credits the sealing time hidden behind the main lane
     /// ([`SimSpan::overlap`]), and durably commits the sealed snapshot as the next
-    /// epoch.
+    /// epoch. A dead worker is dropped together with the staging set it took along;
+    /// the next snapshot rebuilds both.
     fn join_inflight(
         &self,
         ctx: &PliniusContext,
-        guard: &mut Option<MirrorPipeline>,
+        state: &mut MirrorState,
     ) -> Result<Option<PublishReport>, PliniusError> {
-        let Some(state) = guard.as_mut() else {
-            return Ok(None);
-        };
         let Some(meta) = state.inflight.take() else {
             return Ok(None);
         };
         let clock = ctx.clock();
-        let done = state
+        let worker = state
             .worker
-            .recv()
-            .map_err(|e| PliniusError::Pipeline(format!("seal worker join failed: {e}")))?;
-        let SealDone { bufs, result } = done;
-        // Always hand the buffers back for reuse, even when the publish fails.
-        state.spare = Some(bufs);
+            .as_mut()
+            .expect("a publish in flight has a worker");
+        let SealDone { staging, result } = match worker.recv() {
+            Ok(done) => done,
+            Err(e) => {
+                state.worker = None;
+                return Err(PliniusError::Pipeline(format!(
+                    "seal worker join failed: {e}"
+                )));
+            }
+        };
+        // Always take the staging set back for reuse, even when the publish fails.
+        let staging = state.staging.insert(staging);
         // The sealing lane forked at snapshot time and ran in parallel with whatever
         // the training loop charged since; only its residual shows up here.
         let seal_join = SimSpan::overlap(&clock, meta.fork_ns, meta.seal_lane_ns);
-        result.map_err(PliniusError::Crypto)?;
-        let arena = &state.spare.as_ref().expect("buffers returned above").arena;
-        let (commit_result, write) =
-            SimSpan::record(&clock, || self.commit_arena(ctx, arena, meta.iteration));
+        result?;
+        let (commit_result, write) = SimSpan::record(&clock, || {
+            self.commit_arena(ctx, &staging.arena, meta.iteration)
+        });
         let epoch = commit_result?;
         Ok(Some(PublishReport {
             iteration: meta.iteration,
@@ -1451,10 +1338,11 @@ impl MirrorModel {
     }
 
     /// Snapshot phase of a pipelined mirror-out: joins any previous in-flight publish
-    /// (the pipeline is depth-1), stages the model's parameters and per-tensor IVs
-    /// into a pre-allocated staging slot, and hands the expensive seal + PM publish
-    /// to the background worker. Returns the snapshot report together with the
-    /// publish report of the *previous* snapshot, if one was still in flight.
+    /// (the pipeline is depth-1), runs the same snapshot as
+    /// [`MirrorModel::mirror_out`] into the handle's staging set, and hands the set
+    /// to the background worker for the seal; the commit happens at the join.
+    /// Returns the snapshot report together with the publish report of the
+    /// *previous* snapshot, if one was still in flight.
     ///
     /// The IVs are drawn on the calling thread, at the same position of the enclave's
     /// `sgx_read_rand` stream as a synchronous [`MirrorModel::mirror_out`] would draw
@@ -1472,30 +1360,37 @@ impl MirrorModel {
     ) -> Result<(SnapshotReport, Option<PublishReport>), PliniusError> {
         let clock = ctx.clock();
         self.check_model_shape(network)?;
-        let mut guard = self.pipeline.lock();
-        let prior = self.join_inflight(ctx, &mut guard)?;
-        let state = self.ensure_pipeline(ctx, &mut guard)?;
-        let mut bufs = state.spare.take().expect("spare buffers present when idle");
-        let ivs = IvSequence::from_rng(&mut ctx.enclave_rng());
-        for (idx, iv) in bufs.ivs.iter_mut().enumerate() {
-            *iv = ivs.iv(idx as u64);
-        }
-        let model_bytes = bufs.plain.len();
-        let ((), staged) = SimSpan::record(&clock, || {
-            Self::stage_plaintext(&self.slots, &mut bufs.plain, network);
-        });
+        let mut state = self.state.lock();
+        let prior = self.join_inflight(ctx, &mut state)?;
+        let gcm = ctx.gcm()?;
+        let mut staging = state
+            .staging
+            .take()
+            .unwrap_or_else(|| Staging::new(&self.slots));
+        let ((), staged) = SimSpan::record(&clock, || self.snapshot(ctx, &mut staging, network));
+        let model_bytes = staging.plain.len();
         // The sealing lane's modeled cost is computed now (stats recorded) but
         // charged at the join, where the overlap with the interleaved compute is
         // known.
         let seal_lane_ns = ctx.enclave().charge_crypto_offline(model_bytes as u64);
         let fork_ns = clock.now_ns();
-        let iteration = network.iteration();
-        state
-            .worker
-            .send(SealJob { bufs })
-            .map_err(|e| PliniusError::Pipeline(format!("seal worker dispatch failed: {e}")))?;
+        let worker = state.worker.get_or_insert_with(|| {
+            let slots = Arc::clone(&self.slots);
+            Pipeline::spawn("plinius-mirror-seal", move |job: SealJob| {
+                let SealJob { gcm, mut staging } = job;
+                let result = Self::seal(&slots, &gcm, &mut staging, 1);
+                SealDone { staging, result }
+            })
+        });
+        if let Err(e) = worker.send(SealJob { gcm, staging }) {
+            // The dead worker dropped the job, staging set included.
+            state.worker = None;
+            return Err(PliniusError::Pipeline(format!(
+                "seal worker dispatch failed: {e}"
+            )));
+        }
         state.inflight = Some(InflightPublish {
-            iteration,
+            iteration: network.iteration(),
             fork_ns,
             seal_lane_ns,
             model_bytes,
@@ -1510,35 +1405,31 @@ impl MirrorModel {
     }
 
     /// Joins and commits the in-flight publish, if any — the pipeline's *drain*
-    /// point. Called by the overlapped persistence backend before restores, at the
-    /// end of a training run, and on shutdown; a no-op when nothing is in flight.
+    /// point. Called by the persistence backends before restores and synchronous
+    /// saves, at the end of a training run, and on shutdown; a no-op when nothing is
+    /// in flight.
     ///
     /// # Errors
     ///
     /// Propagates sealing, PM-write and worker errors of the joined publish.
     pub fn drain(&self, ctx: &PliniusContext) -> Result<Option<PublishReport>, PliniusError> {
-        let mut guard = self.pipeline.lock();
-        self.join_inflight(ctx, &mut guard)
+        self.join_inflight(ctx, &mut self.state.lock())
     }
 
     /// Whether a snapshot is currently sealing/publishing in the background.
     pub fn has_inflight(&self) -> bool {
-        self.pipeline
-            .lock()
-            .as_ref()
-            .is_some_and(|p| p.inflight.is_some())
+        self.state.lock().inflight.is_some()
     }
 
-    /// Test hook: replaces the live seal worker with one that dies on its first job,
-    /// so the worker-death recovery path (one surfaced error, then a rebuilt
-    /// pipeline) can be exercised without a real sealing bug.
+    /// Test hook: replaces the seal worker with one that dies on its first job, so
+    /// the worker-death recovery path (one surfaced error, then a rebuilt worker)
+    /// can be exercised without a real sealing bug.
     #[cfg(test)]
     fn kill_seal_worker_for_test(&self) {
-        if let Some(state) = self.pipeline.lock().as_mut() {
-            state.worker = Pipeline::spawn("plinius-mirror-seal-dying", |_job: SealJob| {
-                panic!("seal worker killed for test");
-            });
-        }
+        self.state.lock().worker = Some(Pipeline::spawn(
+            "plinius-mirror-seal-dying",
+            |_job: SealJob| -> SealDone { panic!("seal worker killed for test") },
+        ));
     }
 }
 
@@ -1606,18 +1497,9 @@ mod tests {
     fn sealed_tensor_bytes(ctx: &PliniusContext, mirror: &MirrorModel) -> Vec<Vec<Vec<u8>>> {
         let rom = ctx.romulus();
         let active = mirror.active_slot(ctx).unwrap();
-        let mut out = Vec::new();
-        let mut flat = 0usize;
-        for lens in &mirror.sealed_lens {
-            let mut layer = Vec::new();
-            for len in lens {
-                layer.push(
-                    rom.read_bytes(mirror.tensor_ptrs[flat][active], *len)
-                        .unwrap(),
-                );
-                flat += 1;
-            }
-            out.push(layer);
+        let mut out = vec![Vec::new(); mirror.num_layers()];
+        for (ptrs, slot) in mirror.tensor_ptrs.iter().zip(mirror.slots.iter()) {
+            out[slot.layer].push(rom.read_bytes(ptrs[active], slot.sealed_len).unwrap());
         }
         out
     }
@@ -1899,6 +1781,98 @@ mod tests {
         assert_eq!(report.iteration, 3);
         assert_eq!(report.epoch, 2, "the lost publish committed nothing");
         assert_eq!(mirror.iteration(&ctx).unwrap(), 3);
+    }
+
+    #[test]
+    fn a_sync_mirror_out_commits_after_the_publish_in_flight() {
+        let ctx = context_with_key(8 * 1024 * 1024);
+        let mut net = small_network(71);
+        let mirror = MirrorModel::allocate(&ctx, &net).unwrap();
+        net.set_iteration(1);
+        mirror.snapshot_out(&ctx, &net).unwrap();
+        net.set_iteration(2);
+        mirror.mirror_out(&ctx, &net).unwrap();
+        assert!(
+            mirror.drain(&ctx).unwrap().is_none(),
+            "mirror_out joined it"
+        );
+        let newest = *mirror.epochs(&ctx).unwrap().last().unwrap();
+        assert_eq!(newest, 2);
+        assert_eq!(mirror.epoch_iteration(&ctx, 1).unwrap(), 1);
+        assert_eq!(mirror.epoch_iteration(&ctx, newest).unwrap(), 2);
+        let mut restored = small_network(72);
+        assert_eq!(mirror.mirror_in(&ctx, &mut restored).unwrap().iteration, 2);
+    }
+
+    #[test]
+    fn a_rotated_key_seals_every_later_save_on_a_warm_handle() {
+        let ctx = context_with_key(8 * 1024 * 1024);
+        let mut net = small_network(73);
+        let mirror = MirrorModel::allocate(&ctx, &net).unwrap();
+        // Warm both modes under the first key.
+        mirror.mirror_out(&ctx, &net).unwrap();
+        mirror.snapshot_out(&ctx, &net).unwrap();
+        mirror.drain(&ctx).unwrap();
+        let old_key = ctx.key().unwrap();
+        ctx.provision_key_directly(Key::generate_128(&mut StdRng::seed_from_u64(74)));
+        let weights = snapshot(&net);
+        let check = |iteration: u64| {
+            let mut restored = small_network(75);
+            let report = mirror.mirror_in(&ctx, &mut restored).unwrap();
+            assert_eq!(report.iteration, iteration);
+            assert_eq!(snapshot(&restored), weights);
+            // A twin deployment over the same pool still holding the old key.
+            let twin = PliniusContext::open(ctx.pool().clone(), sim_clock::CostModel::sgx_eml_pm())
+                .unwrap();
+            twin.provision_key_directly(old_key.clone());
+            let stale = MirrorModel::open(&twin).unwrap();
+            assert!(matches!(
+                stale.mirror_in(&twin, &mut restored).unwrap_err(),
+                PliniusError::Crypto(plinius_crypto::CryptoError::AuthenticationFailed)
+            ));
+        };
+        net.set_iteration(2);
+        mirror.mirror_out(&ctx, &net).unwrap();
+        check(2);
+        net.set_iteration(3);
+        mirror.snapshot_out(&ctx, &net).unwrap();
+        mirror.drain(&ctx).unwrap().expect("publish in flight");
+        check(3);
+    }
+
+    /// Allocates and commits a mirror, overwrites one word of its PM metadata (the
+    /// word `target` picks), and returns the error of reopening it.
+    fn open_after_corruption(target: impl Fn(&MirrorModel) -> (PmPtr, u64)) -> PliniusError {
+        let ctx = context_with_key(8 * 1024 * 1024);
+        let net = small_network(76);
+        let mirror = MirrorModel::allocate(&ctx, &net).unwrap();
+        mirror.mirror_out(&ctx, &net).unwrap();
+        let (ptr, value) = target(&mirror);
+        ctx.romulus()
+            .transaction(|tx| tx.write_u64(ptr, value))
+            .unwrap();
+        MirrorModel::open(&ctx).unwrap_err()
+    }
+
+    #[test]
+    fn open_rejects_a_huge_layer_count() {
+        let err = open_after_corruption(|m| (m.header.add(8), 1 << 61));
+        assert!(matches!(err, PliniusError::MirrorMismatch(_)), "{err}");
+    }
+
+    #[test]
+    fn open_rejects_a_huge_tensor_count() {
+        let err = open_after_corruption(|m| (m.layer_nodes[0].add(8), 1 << 61));
+        assert!(matches!(err, PliniusError::MirrorMismatch(_)), "{err}");
+    }
+
+    #[test]
+    fn open_rejects_a_cyclic_layer_list() {
+        let err = open_after_corruption(|m| {
+            let last = *m.layer_nodes.last().unwrap();
+            (last, last.offset())
+        });
+        assert!(matches!(err, PliniusError::MirrorMismatch(_)), "{err}");
     }
 
     #[test]

@@ -485,6 +485,9 @@ impl ModelPersistence for PmMirrorBackend {
         network: &Network,
         _iteration: u64,
     ) -> Result<(), PliniusError> {
+        // `mirror_out` joins a pipelined publish still in flight; drain it here so
+        // that publish is booked too.
+        self.drain(ctx)?;
         let report = self.mirror(ctx, network)?.mirror_out(ctx, network)?;
         self.stats.persists += 1;
         self.stats.publishes += 1;
@@ -1208,6 +1211,25 @@ mod tests {
         assert_eq!(stats.publishes, 1);
         assert_eq!(stats.snapshots, 0);
         assert_eq!(stats.overlap_wait_ns, 0);
+    }
+
+    #[test]
+    fn a_sync_persist_books_the_publish_it_joins() {
+        let key = test_key(80);
+        let ctx = context_with_key(&key);
+        let mut net = small_network(81);
+        let mut backend = PmMirrorBackend::new();
+        backend.prepare(&ctx, &net).unwrap();
+        net.set_iteration(1);
+        backend.persist_async(&ctx, &net, 1).unwrap();
+        net.set_iteration(2);
+        backend.persist(&ctx, &net, 2).unwrap();
+        let stats = backend.persist_stats();
+        assert_eq!(stats.snapshots, 1);
+        assert_eq!(stats.publishes, 2);
+        assert_eq!(stats.persists, 2);
+        let mut restored = small_network(82);
+        assert_eq!(backend.restore(&ctx, &mut restored).unwrap(), 2);
     }
 
     #[test]

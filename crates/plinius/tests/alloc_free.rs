@@ -1,9 +1,11 @@
 //! Enforces the allocation-free mirror path: after warm-up, a serial steady-state
 //! `mirror_out` — plaintext staging, per-tensor sealing, and the durable PM write —
 //! performs **zero heap allocations**. The plaintext staging buffer, sealed-blob
-//! arena, per-tensor AADs and IV batch, and the cached AES-GCM context all live in
-//! the mirror's reusable scratch; the Romulus redo log, its copy scratch, and the
-//! pmem dirty-line map retain their capacity across iterations.
+//! arena and IV batch form the handle's single staging set, shared by the sync
+//! path, the background seal worker and restores; the per-tensor AADs are
+//! precomputed, the AES-GCM context is served from the enclave's per-key cache,
+//! and the Romulus redo log, its copy scratch, and the pmem dirty-line map retain
+//! their capacity across iterations.
 //!
 //! Thread fan-out (`threads > 1`) additionally allocates only the O(#tensors)
 //! fork/join dispatch buffers, which is asserted with a loose bound.
@@ -73,7 +75,7 @@ fn mirror_fixture() -> (PliniusContext, plinius_darknet::Network, MirrorModel) {
 #[test]
 fn steady_state_serial_mirror_out_performs_zero_heap_allocations() {
     let (ctx, net, mirror) = mirror_fixture();
-    // Warm-up: the first call builds the scratch (staging buffer, arena, GCM tables),
+    // Warm-up: the first call builds the staging set and the GCM tables,
     // creates the stats counters, and grows the pmem dirty-line map and Romulus
     // scratch to their steady-state capacity; the second catches any one-off growth.
     mirror.mirror_out_with_threads(&ctx, &net, 1).unwrap();
@@ -91,7 +93,7 @@ fn steady_state_serial_mirror_out_performs_zero_heap_allocations() {
 fn steady_state_mirror_out_stays_allocation_free_for_nonzero_tenants() {
     // The tenant-scoped publish path must be as quiet as tenant 0's: the tenant's
     // key-store name is precomputed as an `Arc<str>` when the context is scoped
-    // (`for_tenant`), so steady-state `with_key` lookups never format a string.
+    // (`for_tenant`), so steady-state key-cache lookups never format a string.
     let ctx =
         PliniusContext::small_test(8 * 1024 * 1024).for_tenant(plinius::TenantId::new(5).unwrap());
     let mut rng = StdRng::seed_from_u64(4243);
@@ -131,8 +133,8 @@ fn steady_state_threaded_mirror_out_allocates_only_dispatch_buffers() {
 #[test]
 fn steady_state_snapshot_phase_performs_zero_heap_allocations() {
     // The cheap half of an overlapped mirror-out: staging the parameters + IV batch
-    // into a pre-allocated slot and dispatching the seal job must not touch the heap
-    // once the pipeline (worker, two buffer sets, stats counters) is warm. The job
+    // into the handle's staging set and dispatching the seal job must not touch the
+    // heap once the pipeline (worker, staging set, stats counters) is warm. The job
     // *moves* through the pipeline's single exchange slot, so even the dispatch is
     // allocation-free on the calling thread.
     let (ctx, net, mirror) = mirror_fixture();

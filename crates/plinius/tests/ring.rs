@@ -343,7 +343,7 @@ fn torn_read_retries_surface_through_the_trainer() {
 
     // Adversarial schedule: between the reader's header snapshot and its slot
     // reads, a publisher (through a separate cloned handle — publishing through
-    // the reader's own handle would deadlock on its scratch lock) advances the
+    // the reader's own handle would deadlock on its state lock) advances the
     // ring twice, republishing the very slot under the reader.
     let reader = trainer.mirror_handle().expect("pm-mirror backend");
     let publisher = reader.clone();

@@ -88,8 +88,8 @@ fn interleaved_publish_flips_force_a_retry_and_a_consistent_snapshot() {
     mirror.mirror_out(&ctx, &published).unwrap();
 
     // The reader gets its own handle; the hook publishes through yet another one
-    // (same persistent model, separate scratch — publishing through the reader's
-    // own handle would deadlock on its scratch lock).
+    // (same persistent model, separate staging set — publishing through the reader's
+    // own handle would deadlock on its state lock).
     let reader = mirror.clone();
     let publisher = mirror.clone();
     let hook_ctx = ctx.clone();

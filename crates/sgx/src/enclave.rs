@@ -446,15 +446,6 @@ impl Enclave {
         self.inner.keys.lock().get(name).cloned()
     }
 
-    /// Runs `f` with a borrowed reference to the named key, without cloning the key
-    /// bytes out of the store. Returns `None` if the key is absent.
-    ///
-    /// Used by allocation-free hot paths (e.g. the mirror's sealing scratch) that only
-    /// need to *compare* the stored key against a cached schedule.
-    pub fn with_key<R>(&self, name: &str, f: impl FnOnce(&Key) -> R) -> Option<R> {
-        self.inner.keys.lock().get(name).map(f)
-    }
-
     /// Removes a stored key (and any cached cipher context derived from it).
     pub fn remove_key(&self, name: &str) -> Option<Key> {
         let mut keys = self.inner.keys.lock();
