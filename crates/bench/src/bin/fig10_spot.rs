@@ -2,8 +2,8 @@
 //! (loss curve + instance state curve), with and without crash resilience.
 
 use plinius::{
-    spot_crash_schedule, train_with_crash_schedule, PersistenceBackend, PipelineMode,
-    TrainerConfig, TrainingSetup,
+    spot_crash_schedule, train_with_crash_schedule, PersistenceBackend, TrainerConfig,
+    TrainingSetup,
 };
 use plinius_bench::{cli, RunMode};
 use plinius_darknet::{mnist_cnn_config, synthetic_mnist};
@@ -51,10 +51,7 @@ fn main() {
             mirror_frequency: 1,
             encrypted_data: true,
             seed: 4,
-            pipeline: PipelineMode::from_env(),
-            ring_depth: plinius::ring_depth_from_env(),
-            crypto: plinius::EnginePolicy::from_env(),
-            gemm: plinius::GemmPolicy::from_env(),
+            ..TrainerConfig::default()
         },
         backend: PersistenceBackend::PmMirror,
         model_seed: 6,

@@ -5,9 +5,7 @@
 //! 500 iterations) so the run completes quickly on a laptop; pass --full for the
 //! paper-scale run.
 
-use plinius::{
-    train_with_crash_schedule, PersistenceBackend, PipelineMode, TrainerConfig, TrainingSetup,
-};
+use plinius::{train_with_crash_schedule, PersistenceBackend, TrainerConfig, TrainingSetup};
 use plinius_bench::{cli, RunMode};
 use plinius_darknet::{mnist_cnn_config, synthetic_mnist};
 use rand::rngs::StdRng;
@@ -32,10 +30,7 @@ fn main() {
             mirror_frequency: 1,
             encrypted_data: true,
             seed: 9,
-            pipeline: PipelineMode::from_env(),
-            ring_depth: plinius::ring_depth_from_env(),
-            crypto: plinius::EnginePolicy::from_env(),
-            gemm: plinius::GemmPolicy::from_env(),
+            ..TrainerConfig::default()
         },
         backend: PersistenceBackend::PmMirror,
         model_seed: 5,

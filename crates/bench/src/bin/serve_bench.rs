@@ -78,9 +78,7 @@ fn setup_for(scale: &Scale, pipeline: PipelineMode) -> TrainingSetup {
             encrypted_data: true,
             seed: 33,
             pipeline,
-            ring_depth: plinius::ring_depth_from_env(),
-            crypto: plinius::EnginePolicy::from_env(),
-            gemm: plinius::GemmPolicy::from_env(),
+            ..TrainerConfig::default()
         },
         backend: PersistenceBackend::PmMirror,
         model_seed: 8,

@@ -8,7 +8,7 @@ pub use cli::{BenchArgs, RunMode};
 
 use plinius::{
     MirrorModel, PersistStats, PersistenceBackend, PipelineMode, PliniusBuilder, PliniusContext,
-    PliniusError, PmDataset, SsdCheckpointer, TrainerConfig, TrainingSetup,
+    PliniusError, PmDataset, SsdCheckpointBackend, TrainerConfig, TrainingSetup,
 };
 use plinius_crypto::Key;
 use plinius_darknet::config::{build_network, mnist_cnn_config, sized_model_config};
@@ -83,7 +83,7 @@ pub fn mirror_point(cost: &CostModel, target_mb: usize) -> Result<MirrorPoint, P
     let out = mirror.mirror_out(&ctx, &network)?;
     let mut restored = build_network(&sized_model_config(target_mb, 2), &mut rng)?;
     let inr = mirror.mirror_in(&ctx, &mut restored)?;
-    let ssd = SsdCheckpointer::on_shared_clock(&ctx, "checkpoint.bin");
+    let ssd = SsdCheckpointBackend::new(ctx.new_ssd(), "checkpoint.bin");
     let save = ssd.save(&ctx, &network)?;
     let restore = ssd.restore(&ctx, &mut restored)?;
     Ok(MirrorPoint {
@@ -369,9 +369,7 @@ pub fn pipeline_point(
             encrypted_data: true,
             seed: 5,
             pipeline: PipelineMode::Sync,
-            ring_depth: plinius::ring_depth_from_env(),
-            crypto: plinius::EnginePolicy::from_env(),
-            gemm: plinius::GemmPolicy::from_env(),
+            ..TrainerConfig::default()
         },
         backend: PersistenceBackend::PmMirror,
         model_seed: 12,

@@ -554,6 +554,7 @@ mod tests {
         // A network large enough that conv forward fans out across the batch and the
         // conv GEMMs cross the parallel-dispatch threshold; losses and weights must be
         // bit-identical under PLINIUS_THREADS=1 and a multi-threaded run.
+        let prev = std::env::var("PLINIUS_THREADS").ok();
         let run = |threads: &str| -> (Vec<u32>, Vec<u32>) {
             std::env::set_var("PLINIUS_THREADS", threads);
             let mut rng = StdRng::seed_from_u64(77);
@@ -620,7 +621,12 @@ mod tests {
         };
         let serial = run("1");
         let parallel = run("4");
-        std::env::remove_var("PLINIUS_THREADS");
+        // Put back the value the suite runs under, so later tests in this binary
+        // keep the thread count their CI leg selected.
+        match prev {
+            Some(v) => std::env::set_var("PLINIUS_THREADS", v),
+            None => std::env::remove_var("PLINIUS_THREADS"),
+        }
         assert_eq!(serial.0, parallel.0, "losses diverged across thread counts");
         assert_eq!(
             serial.1, parallel.1,

@@ -579,6 +579,7 @@ mod tests {
     #[test]
     fn max_threads_honours_the_env_override() {
         // `PLINIUS_THREADS` is process-global; this is the only test that mutates it.
+        let prev = std::env::var(THREADS_ENV).ok();
         std::env::set_var(THREADS_ENV, "3");
         assert_eq!(max_threads(), 3);
         std::env::set_var(THREADS_ENV, "0"); // invalid: falls back to auto-detect
@@ -589,5 +590,10 @@ mod tests {
         assert_eq!(max_threads(), 64);
         std::env::remove_var(THREADS_ENV);
         assert!(max_threads() >= 1);
+        // Put back the value the suite runs under, so later tests in this binary
+        // keep the thread count their CI leg selected.
+        if let Some(v) = prev {
+            std::env::set_var(THREADS_ENV, v);
+        }
     }
 }

@@ -14,7 +14,8 @@
 //! * [`mirror`] — the mirroring module: `alloc_mirror_model`, `mirror_out`, `mirror_in`
 //!   (Algorithm 3), built on `sgx-romulus`;
 //! * [`pmdata`] — the PM-data module: encrypted byte-addressable training data in PM;
-//! * [`ssd`] — the baseline: encrypted checkpoints on secondary storage through ocalls;
+//! * [`ssd`] — the baseline: [`SsdCheckpointBackend`], encrypted checkpoints on a
+//!   simulated SSD written and read through ocalls;
 //! * [`persist`] — the open persistence API: the object-safe [`ModelPersistence`] trait
 //!   and its built-in backends (PM mirror, SSD checkpoint, hybrid tiered, no-op, plus a
 //!   fault-injecting test wrapper);
@@ -52,7 +53,7 @@ use plinius_darknet::DarknetError;
 use plinius_pmem::{PmemError, PmemPool};
 use plinius_romulus::{Flavor, Romulus, RomulusError};
 use plinius_sgx::{AttestationService, DataOwner, Enclave, SgxError};
-use plinius_storage::StorageError;
+use plinius_storage::{SimFileSystem, StorageError, StorageProfile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim_clock::{ClockHandle, CostModel, SimClock, StatsHandle, StatsRegistry};
@@ -80,12 +81,11 @@ pub use mirror::{
     SnapshotReport, DEFAULT_RING_DEPTH, RING_ENV,
 };
 pub use persist::{
-    shared_ssd, FaultInjectingBackend, HybridTieredBackend, ModelPersistence, NoOpBackend,
-    PersistStats, PersistenceBackend, PmMirrorBackend, SsdCheckpointBackend,
+    FaultInjectingBackend, HybridTieredBackend, ModelPersistence, NoOpBackend, PersistStats,
+    PersistenceBackend, PmMirrorBackend, SsdCheckpointBackend,
 };
 pub use pmdata::PmDataset;
 pub use serve::{InferenceServer, ServeConfig, ServeReport, ServeSession};
-pub use ssd::SsdCheckpointer;
 pub use trainer::{
     spot_crash_schedule, train_with_crash_schedule, CrashRunReport, PipelineMode, PliniusBuilder,
     PliniusTrainer, TrainerConfig, TrainingReport, TrainingSetup,
@@ -451,6 +451,20 @@ impl PliniusContext {
     /// The shared statistics registry.
     pub fn stats(&self) -> StatsHandle {
         self.pool.stats_registry()
+    }
+
+    /// A fresh, empty simulated SSD that charges its device costs to this
+    /// deployment's clock and statistics. The SSD is a device of the deployment, like
+    /// the PM pool: whoever keeps the handle keeps the disk, so a caller that wants
+    /// checkpoints to survive a simulated process restart passes the same handle
+    /// (see [`PliniusBuilder::ssd`]) to the trainer it rebuilds.
+    pub fn new_ssd(&self) -> SimFileSystem {
+        SimFileSystem::with_settings(
+            self.cost.clone(),
+            StorageProfile::Ssd,
+            self.clock(),
+            self.stats(),
+        )
     }
 
     /// Provisions the model key directly into the enclave key store. Tests and local

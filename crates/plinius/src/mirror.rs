@@ -546,19 +546,30 @@ impl MirrorModel {
     /// Opens an existing mirror (after a restart), walking the persistent linked list.
     /// Every count and pointer read here comes from untrusted PM: the walk visits at
     /// most the header's `num_layers` nodes (bounded by what the PM region can hold),
-    /// every node must carry exactly five tensors, and no capacity is reserved from
-    /// a stored count.
+    /// every node must carry exactly five tensors, every stored pointer must lie
+    /// inside the PM region, and no capacity is reserved from a stored count.
     ///
     /// # Errors
     ///
     /// Returns [`PliniusError::NoMirrorModel`] if no mirror exists, or
     /// [`PliniusError::MirrorMismatch`] if the persistent metadata is inconsistent.
     pub fn open(ctx: &PliniusContext) -> Result<Self, PliniusError> {
-        let header = ctx.romulus().root(ctx.model_root())?;
+        let rom = ctx.romulus();
+        let region = rom.region_size() as u64;
+        // A stored pointer past the region would overflow the offset arithmetic
+        // below; reject it before following it.
+        let stored_ptr = |offset: u64| {
+            if offset > region {
+                return Err(PliniusError::MirrorMismatch(format!(
+                    "stored pointer {offset:#x} lies outside the PM region"
+                )));
+            }
+            Ok(PmPtr::from_offset(offset))
+        };
+        let header = stored_ptr(rom.root(ctx.model_root())?.offset())?;
         if header.is_null() {
             return Err(PliniusError::NoMirrorModel);
         }
-        let rom = ctx.romulus();
         let num_layers = rom.read_u64(header.add(8))?;
         let ring = rom.read_u64(header.add(HDR_RING))? as usize;
         if !(2..=65_536).contains(&ring) {
@@ -566,13 +577,12 @@ impl MirrorModel {
                 "implausible ring depth {ring} in the mirror header"
             )));
         }
-        let region = rom.region_size() as u64;
         if num_layers > region / node_bytes(ring) as u64 {
             return Err(PliniusError::MirrorMismatch(format!(
                 "header declares {num_layers} layers, more than the PM region can hold"
             )));
         }
-        let meta = PmPtr::from_offset(rom.read_u64(header.add(HDR_META))?);
+        let meta = stored_ptr(rom.read_u64(header.add(HDR_META))?)?;
         if meta.is_null() {
             return Err(PliniusError::MirrorMismatch(
                 "mirror header carries no ring-meta table".into(),
@@ -583,7 +593,7 @@ impl MirrorModel {
         let mut sealed_lens = Vec::new();
         let mut tensor_ptrs: Vec<Vec<PmPtr>> = Vec::new();
         let mut sealed_total = 0u64;
-        let mut cursor = PmPtr::from_offset(rom.read_u64(header.add(16))?);
+        let mut cursor = stored_ptr(rom.read_u64(header.add(16))?)?;
         while !cursor.is_null() && (layer_nodes.len() as u64) < num_layers {
             let num_tensors = rom.read_u64(cursor.add(8))?;
             if num_tensors != TENSORS_PER_LAYER as u64 {
@@ -596,7 +606,7 @@ impl MirrorModel {
             for j in 0..TENSORS_PER_LAYER as u64 {
                 let field = cursor.add(16 + j * stride);
                 let ring_ptrs = (0..ring as u64)
-                    .map(|s| Ok(PmPtr::from_offset(rom.read_u64(field.add(s * 8))?)))
+                    .map(|s| stored_ptr(rom.read_u64(field.add(s * 8))?))
                     .collect::<Result<Vec<_>, PliniusError>>()?;
                 let len = rom.read_u64(field.add((ring * 8) as u64))?;
                 sealed_total = sealed_total.saturating_add(len);
@@ -610,7 +620,7 @@ impl MirrorModel {
             }
             layer_nodes.push(cursor);
             sealed_lens.push(lens);
-            cursor = PmPtr::from_offset(rom.read_u64(cursor)?);
+            cursor = stored_ptr(rom.read_u64(cursor)?)?;
         }
         if layer_nodes.len() as u64 != num_layers || !cursor.is_null() {
             return Err(PliniusError::MirrorMismatch(format!(
@@ -1863,6 +1873,12 @@ mod tests {
     #[test]
     fn open_rejects_a_huge_tensor_count() {
         let err = open_after_corruption(|m| (m.layer_nodes[0].add(8), 1 << 61));
+        assert!(matches!(err, PliniusError::MirrorMismatch(_)), "{err}");
+    }
+
+    #[test]
+    fn open_rejects_a_pointer_near_u64_max() {
+        let err = open_after_corruption(|m| (m.header.add(16), u64::MAX - 4));
         assert!(matches!(err, PliniusError::MirrorMismatch(_)), "{err}");
     }
 

@@ -8,7 +8,7 @@
 //! * [`PmMirrorBackend`] — Plinius' mirroring mechanism (encrypted mirror copies on PM,
 //!   Algorithm 3);
 //! * [`SsdCheckpointBackend`] — the baseline: encrypted checkpoints on a (simulated)
-//!   SSD, written through `fwrite`/`fsync` ocalls;
+//!   SSD, written through `fwrite`/`fsync` ocalls (defined in [`crate::ssd`]);
 //! * [`HybridTieredBackend`] — a tiered scheme the paper motivates but never builds:
 //!   mirror to PM on every persist, and *demote* an encrypted checkpoint to the SSD
 //!   at least every k iterations so the model survives even the loss of the PM module;
@@ -20,14 +20,18 @@
 //! New backends (async batching, remote replication, …) are one `impl ModelPersistence`
 //! plus a [`PliniusBuilder::backend`](crate::PliniusBuilder::backend) call — no trainer
 //! changes required.
+//!
+//! The simulated SSD is a device of the deployment, like the PM pool: the
+//! SSD-backed backends take a `SimFileSystem` at construction (usually from
+//! [`PliniusContext::new_ssd`]), and a checkpoint survives a simulated process restart
+//! exactly when the rebuilt backend is given the same device.
 
 use crate::mirror::{MirrorModel, PublishReport};
-use crate::ssd::SsdCheckpointer;
 use crate::{PliniusContext, PliniusError};
 use plinius_darknet::Network;
-use plinius_storage::{SimFileSystem, StorageProfile};
-use sim_clock::{SimClock, StatsRegistry};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use plinius_storage::SimFileSystem;
+
+pub use crate::ssd::SsdCheckpointBackend;
 
 /// Cumulative activity counters of one [`ModelPersistence`] backend.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -234,76 +238,15 @@ pub trait ModelPersistence: std::fmt::Debug {
 // `ModelPersistence` must stay object-safe: the trainer owns a `Box<dyn ModelPersistence>`.
 const _OBJECT_SAFE: fn(&dyn ModelPersistence) = |_| {};
 
-/// One durable-SSD registry entry: the owning deployment's clock (weak), the tenant
-/// the disk belongs to, and the disk itself.
-type SsdEntry = (Weak<SimClock>, u64, SimFileSystem);
-
-/// The per-deployment durable SSD registry, keyed by (simulation-clock identity,
-/// tenant id). Every deployment — PM pool + enclave + clock — has exactly one clock
-/// `Arc`, which survives simulated process restarts because the pool holds it; within
-/// one deployment each tenant gets its own disk, so two tenants' declarative
-/// `SsdCheckpoint`/`HybridTiered` specs never collide on checkpoint file names.
-/// Entries are weak so a finished deployment's disks are reclaimed once its clock is
-/// gone.
-static SSD_REGISTRY: OnceLock<Mutex<Vec<SsdEntry>>> = OnceLock::new();
-
-/// The simulated SSD of the context's deployment and tenant, charging its device
-/// costs to the context's clock and statistics — the device every checkpoint-on-disk
-/// backend writes to unless given one explicitly.
+/// Declarative persistence spec: keeps [`TrainingSetup`](crate::TrainingSetup)
+/// `Clone`-able and declarative, and maps onto a trait object through the one
+/// [`PersistenceBackend::instantiate`]. A backend passed to
+/// [`PliniusBuilder::backend`](crate::PliniusBuilder::backend) overrides it.
 ///
-/// Like a real disk, the device is *durable across simulated process restarts*:
-/// re-opening a context over the same PM pool (same simulation clock) returns the same
-/// file system, so checkpoints written before a crash are still there afterwards. Two
-/// independent deployments (different pools/clocks) get independent disks, and so do
-/// two tenants of one deployment. To model separate devices within one tenant,
-/// construct `SimFileSystem`s directly and use the backends' `on_filesystem`
-/// constructors.
-pub fn shared_ssd(ctx: &PliniusContext) -> SimFileSystem {
-    let clock = ctx.clock();
-    let tenant = ctx.tenant().raw();
-    let registry = SSD_REGISTRY.get_or_init(|| Mutex::new(Vec::new()));
-    let mut entries = registry.lock().expect("ssd registry poisoned");
-    entries.retain(|(weak, _, _)| weak.strong_count() > 0);
-    for (weak, entry_tenant, fs) in entries.iter() {
-        if *entry_tenant != tenant {
-            continue;
-        }
-        if let Some(existing) = weak.upgrade() {
-            if Arc::ptr_eq(&existing, &clock) {
-                return fs.rebound(clock, ctx.stats());
-            }
-        }
-    }
-    let fs = SimFileSystem::with_settings(
-        ctx.cost_model().clone(),
-        StorageProfile::Ssd,
-        clock.clone(),
-        ctx.stats(),
-    );
-    // The registry keeps only a *detached* handle (rebound onto a private clock), so it
-    // holds no strong reference to the deployment clock and the eviction above really
-    // fires once the deployment drops its pool/context/backends.
-    entries.push((
-        Arc::downgrade(&clock),
-        tenant,
-        fs.rebound(SimClock::new(), StatsRegistry::new()),
-    ));
-    fs
-}
-
-/// Declarative persistence spec, kept as a thin shim over the [`ModelPersistence`]
-/// trait for one release.
-///
-/// New code should pass a backend straight to
-/// [`PliniusBuilder::backend`](crate::PliniusBuilder::backend); this enum remains so
-/// that [`TrainingSetup`](crate::TrainingSetup) stays `Clone`-able and declarative, and
-/// maps onto trait objects via [`PersistenceBackend::instantiate`].
-///
-/// SSD-backed variants lazily bind to the deployment's durable [`shared_ssd`], which —
-/// like a real disk — survives simulated process restarts: a trainer rebuilt from the
-/// same declarative spec over the re-opened context finds the earlier checkpoint and
-/// resumes. Use [`PersistenceBackend::instantiate_on`] or the backends'
-/// `on_filesystem` constructors to target an explicitly separate device.
+/// The SSD-backed variants write to the SSD the builder is given
+/// ([`PliniusBuilder::ssd`](crate::PliniusBuilder::ssd)), or to a fresh one on the
+/// context's clock when it is given none. A trainer rebuilt after a simulated process
+/// restart finds its earlier checkpoint when it is built with the same SSD.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PersistenceBackend {
     /// Plinius' mirroring mechanism: encrypted mirror copies on PM
@@ -327,65 +270,26 @@ pub enum PersistenceBackend {
 }
 
 impl PersistenceBackend {
-    /// Maps the spec onto a fresh trait object. SSD-backed specs bind (lazily, on first
-    /// use) to the deployment's durable [`shared_ssd`], so their checkpoints survive
-    /// simulated process restarts; use [`PersistenceBackend::instantiate_on`] to target
-    /// a specific device instead.
-    pub fn instantiate(&self) -> Box<dyn ModelPersistence> {
-        self.instantiate_on(None)
-    }
-
-    /// Like [`PersistenceBackend::instantiate`], but with an explicit epoch-ring depth
-    /// for the mirror-backed variants (ignored by SSD-only and no-op specs).
-    pub fn instantiate_with_ring(&self, ring: usize) -> Box<dyn ModelPersistence> {
-        self.instantiate_on_with_ring(None, ring)
-    }
-
-    /// Maps the spec onto a trait object, placing SSD-backed checkpoints on `ssd` when
-    /// one is given. The crash/spot drivers use this so checkpoints written before a
-    /// simulated process kill are still on the device afterwards.
-    pub fn instantiate_on(&self, ssd: Option<&SimFileSystem>) -> Box<dyn ModelPersistence> {
-        self.instantiate_on_with_ring(ssd, crate::mirror::ring_depth_from_env())
-    }
-
-    /// [`PersistenceBackend::instantiate_on`] with an explicit epoch-ring depth for the
-    /// mirror-backed variants.
-    pub fn instantiate_on_with_ring(
-        &self,
-        ssd: Option<&SimFileSystem>,
-        ring: usize,
-    ) -> Box<dyn ModelPersistence> {
+    /// Maps the spec onto a fresh trait object. `ring` is the epoch-ring depth of a
+    /// freshly allocated PM mirror (ignored by SSD-only and no-op specs); `ssd` is the
+    /// device SSD-backed specs checkpoint to (ignored by the others).
+    pub fn instantiate(&self, ring: usize, ssd: &SimFileSystem) -> Box<dyn ModelPersistence> {
         match self {
             PersistenceBackend::PmMirror => Box::new(PmMirrorBackend::with_ring(ring)),
-            PersistenceBackend::SsdCheckpoint(path) => Box::new(match ssd {
-                Some(fs) => SsdCheckpointBackend::on_filesystem(fs.clone(), path.clone()),
-                None => SsdCheckpointBackend::new(path.clone()),
-            }),
+            PersistenceBackend::SsdCheckpoint(path) => {
+                Box::new(SsdCheckpointBackend::new(ssd.clone(), path.clone()))
+            }
             PersistenceBackend::HybridTiered {
                 ssd_path,
                 demote_every,
-            } => Box::new(
-                match ssd {
-                    Some(fs) => HybridTieredBackend::on_filesystem(
-                        fs.clone(),
-                        ssd_path.clone(),
-                        *demote_every,
-                    ),
-                    None => HybridTieredBackend::new(ssd_path.clone(), *demote_every),
-                }
-                .with_ring(ring),
-            ),
+            } => Box::new(HybridTieredBackend::new(
+                ssd.clone(),
+                ssd_path.clone(),
+                *demote_every,
+                ring,
+            )),
             PersistenceBackend::None => Box::new(NoOpBackend),
         }
-    }
-
-    /// Whether this spec writes to secondary storage (and therefore needs a durable
-    /// simulated SSD across restarts).
-    pub fn uses_ssd(&self) -> bool {
-        matches!(
-            self,
-            PersistenceBackend::SsdCheckpoint(_) | PersistenceBackend::HybridTiered { .. }
-        )
     }
 }
 
@@ -530,93 +434,6 @@ impl ModelPersistence for PmMirrorBackend {
     }
 }
 
-/// The baseline as a [`ModelPersistence`] backend: encrypted model checkpoints on a
-/// (simulated) SSD, written through `fwrite`/`fsync` ocalls.
-#[derive(Debug)]
-pub struct SsdCheckpointBackend {
-    path: String,
-    fs: Option<SimFileSystem>,
-    stats: PersistStats,
-}
-
-impl SsdCheckpointBackend {
-    /// Creates a backend writing to `path` on the deployment's durable [`shared_ssd`]
-    /// (bound lazily on first use; survives simulated process restarts).
-    pub fn new(path: impl Into<String>) -> Self {
-        SsdCheckpointBackend {
-            path: path.into(),
-            fs: None,
-            stats: PersistStats::default(),
-        }
-    }
-
-    /// Creates a backend writing to `path` on an existing simulated SSD. Use this when
-    /// the device must outlive one trainer (e.g. crash/resume across processes).
-    pub fn on_filesystem(fs: SimFileSystem, path: impl Into<String>) -> Self {
-        SsdCheckpointBackend {
-            path: path.into(),
-            fs: Some(fs),
-            stats: PersistStats::default(),
-        }
-    }
-
-    /// The simulated SSD this backend writes to, if it has been bound yet.
-    pub fn filesystem(&self) -> Option<&SimFileSystem> {
-        self.fs.as_ref()
-    }
-
-    /// A checkpointer over this backend's file system, binding the deployment's
-    /// durable shared SSD if none was supplied.
-    fn checkpointer(&mut self, ctx: &PliniusContext) -> SsdCheckpointer {
-        let fs = self.fs.get_or_insert_with(|| shared_ssd(ctx)).clone();
-        SsdCheckpointer::new(fs, self.path.clone())
-    }
-}
-
-impl ModelPersistence for SsdCheckpointBackend {
-    fn label(&self) -> &str {
-        "ssd-checkpoint"
-    }
-
-    fn exists(&self, ctx: &PliniusContext) -> bool {
-        // An unbound backend sits on the deployment's durable shared SSD, which may
-        // already hold a checkpoint from before a simulated restart.
-        match &self.fs {
-            Some(fs) => fs.exists(&self.path),
-            None => shared_ssd(ctx).exists(&self.path),
-        }
-    }
-
-    fn restore(
-        &mut self,
-        ctx: &PliniusContext,
-        network: &mut Network,
-    ) -> Result<u64, PliniusError> {
-        let report = self.checkpointer(ctx).restore(ctx, network)?;
-        self.stats.restores += 1;
-        self.stats.restored_bytes += report.model_bytes as u64;
-        self.stats.engine = ctx.engine_name();
-        Ok(report.iteration)
-    }
-
-    fn persist(
-        &mut self,
-        ctx: &PliniusContext,
-        network: &Network,
-        _iteration: u64,
-    ) -> Result<(), PliniusError> {
-        let report = self.checkpointer(ctx).save(ctx, network)?;
-        self.stats.persists += 1;
-        self.stats.persisted_bytes += report.model_bytes as u64;
-        self.stats.engine = ctx.engine_name();
-        Ok(())
-    }
-
-    fn persist_stats(&self) -> PersistStats {
-        self.stats
-    }
-}
-
 /// Tiered persistence: mirror to PM on every persist, and additionally *demote* an
 /// encrypted checkpoint to the SSD once at least `demote_every` iterations have passed
 /// since the last demotion.
@@ -642,51 +459,28 @@ pub struct HybridTieredBackend {
 }
 
 impl HybridTieredBackend {
-    /// Creates a hybrid backend demoting to `ssd_path` on the deployment's durable
-    /// [`shared_ssd`] every `demote_every` iterations (`0` disables demotion, making
-    /// this equivalent to [`PmMirrorBackend`]).
-    pub fn new(ssd_path: impl Into<String>, demote_every: u64) -> Self {
-        Self::with_ssd(SsdCheckpointBackend::new(ssd_path), demote_every)
-    }
-
-    /// Creates a hybrid backend demoting onto an existing simulated SSD (one that must
-    /// survive process restarts).
-    pub fn on_filesystem(
-        fs: SimFileSystem,
+    /// Creates a hybrid backend demoting to `ssd_path` on `ssd` every `demote_every`
+    /// iterations (`0` disables demotion, making this equivalent to
+    /// [`PmMirrorBackend`]); a freshly allocated PM mirror retains the `ring` newest
+    /// epochs.
+    pub fn new(
+        ssd: SimFileSystem,
         ssd_path: impl Into<String>,
         demote_every: u64,
+        ring: usize,
     ) -> Self {
-        Self::with_ssd(
-            SsdCheckpointBackend::on_filesystem(fs, ssd_path),
-            demote_every,
-        )
-    }
-
-    fn with_ssd(ssd: SsdCheckpointBackend, demote_every: u64) -> Self {
         HybridTieredBackend {
-            mirror: PmMirrorBackend::new(),
-            ssd,
+            mirror: PmMirrorBackend::with_ring(ring),
+            ssd: SsdCheckpointBackend::new(ssd, ssd_path),
             demote_every,
             demotions: 0,
             last_demoted: 0,
         }
     }
 
-    /// Sets the epoch-ring depth used when the PM tier allocates a fresh mirror.
-    #[must_use]
-    pub fn with_ring(mut self, ring: usize) -> Self {
-        self.mirror = PmMirrorBackend::with_ring(ring);
-        self
-    }
-
     /// Number of checkpoints demoted to the SSD so far.
     pub fn demotions(&self) -> u64 {
         self.demotions
-    }
-
-    /// The simulated SSD the demoted checkpoints land on, if bound yet.
-    pub fn filesystem(&self) -> Option<&SimFileSystem> {
-        self.ssd.filesystem()
     }
 
     /// Demotes an encrypted checkpoint to the SSD if the demotion interval elapsed.
@@ -730,7 +524,7 @@ impl ModelPersistence for HybridTieredBackend {
         // PM is gone but the demoted checkpoint survived on the SSD: recover from it,
         // then immediately re-establish the PM mirror so the fast tier is valid again
         // even if the very next crash hits before the first post-recovery persist.
-        let iteration = self.ssd.restore(ctx, network)?;
+        let iteration = ModelPersistence::restore(&mut self.ssd, ctx, network)?;
         self.mirror.prepare(ctx, network)?;
         self.mirror.persist(ctx, network, iteration)?;
         // The SSD already holds exactly this iteration; start the next demotion
@@ -958,6 +752,16 @@ mod tests {
             .collect()
     }
 
+    /// A hybrid backend whose PM tier takes its ring depth from `PLINIUS_RING`.
+    fn hybrid(ssd: SimFileSystem, path: &str, demote_every: u64) -> HybridTieredBackend {
+        HybridTieredBackend::new(
+            ssd,
+            path,
+            demote_every,
+            crate::mirror::ring_depth_from_env(),
+        )
+    }
+
     /// Deploys a small-test setup: pool created, key provisioned, dataset in PM.
     fn deploy(setup: &TrainingSetup, key: &Key) -> PliniusContext {
         let ctx = PliniusContext::create(setup.cost.clone(), setup.pm_bytes).unwrap();
@@ -983,20 +787,22 @@ mod tests {
             ),
             (PersistenceBackend::None, "none"),
         ];
+        let ssd = SimFileSystem::new();
         for (spec, label) in specs {
-            assert_eq!(spec.instantiate().label(), label);
+            assert_eq!(
+                spec.instantiate(crate::DEFAULT_RING_DEPTH, &ssd).label(),
+                label
+            );
         }
-        assert!(!PersistenceBackend::PmMirror.uses_ssd());
-        assert!(PersistenceBackend::SsdCheckpoint("c".into()).uses_ssd());
     }
 
     #[test]
     fn hybrid_mirrors_every_persist_and_demotes_every_kth() {
         let key = test_key(1);
         let ctx = context_with_key(&key);
-        let fs = shared_ssd(&ctx);
+        let fs = ctx.new_ssd();
         let mut net = small_network(2);
-        let mut backend = HybridTieredBackend::on_filesystem(fs.clone(), "tier.ckpt", 2);
+        let mut backend = hybrid(fs.clone(), "tier.ckpt", 2);
         assert!(!backend.exists(&ctx));
         backend.prepare(&ctx, &net).unwrap();
         for i in 1..=5u64 {
@@ -1017,9 +823,9 @@ mod tests {
         // would double the PM-loss exposure window) — every persist demotes.
         let key = test_key(30);
         let ctx = context_with_key(&key);
-        let fs = shared_ssd(&ctx);
+        let fs = ctx.new_ssd();
         let mut net = small_network(31);
-        let mut backend = HybridTieredBackend::on_filesystem(fs, "tier.ckpt", 5);
+        let mut backend = hybrid(fs, "tier.ckpt", 5);
         backend.prepare(&ctx, &net).unwrap();
         for iteration in [10u64, 20, 30] {
             net.set_iteration(iteration);
@@ -1032,9 +838,9 @@ mod tests {
     fn hybrid_restore_prefers_the_pm_mirror() {
         let key = test_key(3);
         let ctx = context_with_key(&key);
-        let fs = shared_ssd(&ctx);
+        let fs = ctx.new_ssd();
         let mut net = small_network(4);
-        let mut backend = HybridTieredBackend::on_filesystem(fs.clone(), "tier.ckpt", 3);
+        let mut backend = hybrid(fs.clone(), "tier.ckpt", 3);
         backend.prepare(&ctx, &net).unwrap();
         // Mirror is at iteration 4; the last demoted checkpoint is at 3.
         for i in 1..=4u64 {
@@ -1042,7 +848,7 @@ mod tests {
             backend.persist(&ctx, &net, i).unwrap();
         }
         let mut restored = small_network(5);
-        let mut backend2 = HybridTieredBackend::on_filesystem(fs, "tier.ckpt", 3);
+        let mut backend2 = hybrid(fs, "tier.ckpt", 3);
         assert!(backend2.exists(&ctx));
         let iteration = backend2.restore(&ctx, &mut restored).unwrap();
         assert_eq!(
@@ -1056,9 +862,9 @@ mod tests {
     fn hybrid_recovers_from_ssd_when_pm_is_lost() {
         let key = test_key(6);
         let ctx = context_with_key(&key);
-        let fs = shared_ssd(&ctx);
+        let fs = ctx.new_ssd();
         let mut net = small_network(7);
-        let mut backend = HybridTieredBackend::on_filesystem(fs.clone(), "tier.ckpt", 2);
+        let mut backend = hybrid(fs.clone(), "tier.ckpt", 2);
         backend.prepare(&ctx, &net).unwrap();
         for i in 1..=4u64 {
             net.set_iteration(i);
@@ -1067,7 +873,7 @@ mod tests {
         // The PM module is replaced: a brand-new pool has no mirror, but the SSD —
         // a separate device — still holds the iteration-4 checkpoint.
         let ctx2 = context_with_key(&key);
-        let mut backend2 = HybridTieredBackend::on_filesystem(fs, "tier.ckpt", 2);
+        let mut backend2 = hybrid(fs, "tier.ckpt", 2);
         assert!(backend2.exists(&ctx2));
         let mut restored = small_network(8);
         let iteration = backend2.restore(&ctx2, &mut restored).unwrap();
@@ -1085,10 +891,9 @@ mod tests {
 
     #[test]
     fn declarative_ssd_specs_survive_restarts_through_the_shared_device() {
-        // Regression for the documented fresh-simulated-SSD-per-instantiate caveat:
-        // a trainer rebuilt from the same declarative spec after a simulated process
-        // restart must find the earlier checkpoint on the deployment's durable SSD
-        // and resume, exactly like a builder-constructed `on_filesystem` backend.
+        // A trainer rebuilt from the same declarative spec after a simulated process
+        // restart, and given the same SSD, must find the earlier checkpoint there and
+        // resume, exactly like an explicitly constructed backend.
         for backend in [
             PersistenceBackend::SsdCheckpoint("declarative.ckpt".into()),
             PersistenceBackend::HybridTiered {
@@ -1102,8 +907,10 @@ mod tests {
             let key = test_key(41);
             let ctx = deploy(&setup, &key);
             let pool = ctx.pool().clone();
+            let ssd = ctx.new_ssd();
             let mut trainer = PliniusBuilder::new(setup.clone())
                 .context(ctx)
+                .ssd(ssd.clone())
                 .build()
                 .unwrap();
             trainer.run_at_most(5).unwrap();
@@ -1116,6 +923,7 @@ mod tests {
             ctx2.provision_key_directly(key);
             let resumed = PliniusBuilder::new(setup.clone())
                 .context(ctx2)
+                .ssd(ssd)
                 .build()
                 .unwrap();
             assert_eq!(
@@ -1125,26 +933,6 @@ mod tests {
             );
             assert_eq!(weights(resumed.network()), weights_before, "{backend:?}");
         }
-    }
-
-    #[test]
-    fn ssd_registry_holds_no_strong_reference_to_dead_deployments() {
-        // Regression: the registry must keep only a detached handle, otherwise every
-        // deployment's clock (and its entry, and its checkpoint bytes) would leak for
-        // the process lifetime.
-        let key = test_key(60);
-        let ctx = context_with_key(&key);
-        let fs = shared_ssd(&ctx);
-        fs.write("leak-probe", b"1");
-        // Same deployment -> same disk.
-        assert!(shared_ssd(&ctx).exists("leak-probe"));
-        let weak_clock = std::sync::Arc::downgrade(&ctx.clock());
-        drop((fs, ctx));
-        assert_eq!(
-            weak_clock.strong_count(),
-            0,
-            "the SSD registry leaked a strong reference to the deployment clock"
-        );
     }
 
     #[test]
@@ -1238,9 +1026,9 @@ mod tests {
         // Overlapped mode via the default sync fallback.
         let key = test_key(78);
         let ctx = context_with_key(&key);
-        let fs = shared_ssd(&ctx);
+        let fs = ctx.new_ssd();
         let mut net = small_network(79);
-        let mut backend = SsdCheckpointBackend::on_filesystem(fs.clone(), "fallback.ckpt");
+        let mut backend = SsdCheckpointBackend::new(fs.clone(), "fallback.ckpt");
         net.set_iteration(3);
         backend.persist_async(&ctx, &net, 3).unwrap();
         backend.drain(&ctx).unwrap();
@@ -1291,9 +1079,9 @@ mod tests {
     fn hybrid_pipelines_the_mirror_and_demotes_synchronously() {
         let key = test_key(80);
         let ctx = context_with_key(&key);
-        let fs = shared_ssd(&ctx);
+        let fs = ctx.new_ssd();
         let mut net = small_network(81);
-        let mut backend = HybridTieredBackend::on_filesystem(fs.clone(), "tier-async.ckpt", 2);
+        let mut backend = hybrid(fs.clone(), "tier-async.ckpt", 2);
         backend.prepare(&ctx, &net).unwrap();
         for i in 1..=4u64 {
             net.set_iteration(i);

@@ -1,7 +1,15 @@
 //! The baseline Plinius is compared against in Fig. 7 / Table I: encrypted model
 //! checkpoints on secondary storage (SSD), written through `fwrite`/`fsync` ocalls and
 //! read back with `fread` ocalls — "the state-of-the-art method for fault tolerance".
+//!
+//! [`SsdCheckpointBackend`] is the one SSD checkpoint type. Its inherent
+//! [`save`](SsdCheckpointBackend::save)/[`restore`](SsdCheckpointBackend::restore)
+//! return the per-phase reports the Fig. 7 / Table I harness needs; its
+//! [`ModelPersistence`] impl drives the same two calls for the trainer. The simulated
+//! SSD itself is a device of the deployment
+//! ([`PliniusContext::new_ssd`]), passed in at construction.
 
+use crate::persist::{ModelPersistence, PersistStats};
 use crate::{bytes_to_f32s, f32s_to_bytes, PliniusContext, PliniusError};
 use plinius_crypto::SealedView;
 use plinius_darknet::Network;
@@ -47,37 +55,26 @@ impl SsdRestoreReport {
     }
 }
 
-/// Encrypted model checkpointing on a (simulated) SSD.
-#[derive(Debug, Clone)]
-pub struct SsdCheckpointer {
+/// The baseline as a [`ModelPersistence`] backend: encrypted model checkpoints at
+/// one path of a (simulated) SSD, written through `fwrite`/`fsync` ocalls.
+#[derive(Debug)]
+pub struct SsdCheckpointBackend {
     fs: SimFileSystem,
     path: String,
+    stats: PersistStats,
 }
 
-impl SsdCheckpointer {
-    /// Creates a checkpointer writing to `path` on the given file system. The file system
-    /// should share the context's clock (see [`SsdCheckpointer::on_shared_clock`]).
+impl SsdCheckpointBackend {
+    /// Creates a backend checkpointing to `path` on `fs`. For the Fig. 7 comparison
+    /// the SSD must charge the context's clock, as [`PliniusContext::new_ssd`] does;
+    /// a checkpoint survives a simulated restart when the rebuilt backend gets the
+    /// same `fs`.
     pub fn new(fs: SimFileSystem, path: impl Into<String>) -> Self {
-        SsdCheckpointer {
+        SsdCheckpointBackend {
             fs,
             path: path.into(),
+            stats: PersistStats::default(),
         }
-    }
-
-    /// Convenience: creates a checkpointer whose simulated SSD charges costs to the same
-    /// clock as `ctx`, which is what the Fig. 7 comparison requires.
-    pub fn on_shared_clock(ctx: &PliniusContext, path: impl Into<String>) -> Self {
-        Self::new(crate::persist::shared_ssd(ctx), path)
-    }
-
-    /// The underlying simulated file system.
-    pub fn filesystem(&self) -> &SimFileSystem {
-        &self.fs
-    }
-
-    /// Whether a checkpoint file exists.
-    pub fn exists(&self) -> bool {
-        self.fs.exists(&self.path)
     }
 
     /// Saves an encrypted checkpoint of `network` to the SSD: encrypt every parameter
@@ -170,7 +167,7 @@ impl SsdCheckpointer {
         ctx: &PliniusContext,
         network: &mut Network,
     ) -> Result<SsdRestoreReport, PliniusError> {
-        if !self.exists() {
+        if !self.fs.exists(&self.path) {
             return Err(PliniusError::NoMirrorModel);
         }
         // One warm GCM context (from the enclave's per-key cache) for the whole restore.
@@ -238,6 +235,46 @@ impl SsdCheckpointer {
     }
 }
 
+impl ModelPersistence for SsdCheckpointBackend {
+    fn label(&self) -> &str {
+        "ssd-checkpoint"
+    }
+
+    fn exists(&self, _ctx: &PliniusContext) -> bool {
+        self.fs.exists(&self.path)
+    }
+
+    fn restore(
+        &mut self,
+        ctx: &PliniusContext,
+        network: &mut Network,
+    ) -> Result<u64, PliniusError> {
+        // The inherent restore: a path call resolves inherent methods before trait ones.
+        let report = SsdCheckpointBackend::restore(self, ctx, network)?;
+        self.stats.restores += 1;
+        self.stats.restored_bytes += report.model_bytes as u64;
+        self.stats.engine = ctx.engine_name();
+        Ok(report.iteration)
+    }
+
+    fn persist(
+        &mut self,
+        ctx: &PliniusContext,
+        network: &Network,
+        _iteration: u64,
+    ) -> Result<(), PliniusError> {
+        let report = self.save(ctx, network)?;
+        self.stats.persists += 1;
+        self.stats.persisted_bytes += report.model_bytes as u64;
+        self.stats.engine = ctx.engine_name();
+        Ok(())
+    }
+
+    fn persist_stats(&self) -> PersistStats {
+        self.stats
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,12 +307,13 @@ mod tests {
     #[test]
     fn save_restore_round_trip() {
         let ctx = ctx_with_key();
-        let ckpt = SsdCheckpointer::on_shared_clock(&ctx, "model.ckpt");
+        let fs = ctx.new_ssd();
+        let ckpt = SsdCheckpointBackend::new(fs.clone(), "model.ckpt");
         let mut net = network(1);
         net.set_iteration(99);
-        assert!(!ckpt.exists());
+        assert!(!fs.exists("model.ckpt"));
         let save = ckpt.save(&ctx, &net).unwrap();
-        assert!(ckpt.exists());
+        assert!(fs.exists("model.ckpt"));
         assert!(save.total_ms() > 0.0);
         let mut restored = network(2);
         let report = ckpt.restore(&ctx, &mut restored).unwrap();
@@ -290,7 +328,7 @@ mod tests {
     #[test]
     fn restore_without_checkpoint_errors() {
         let ctx = ctx_with_key();
-        let ckpt = SsdCheckpointer::on_shared_clock(&ctx, "missing.ckpt");
+        let ckpt = SsdCheckpointBackend::new(ctx.new_ssd(), "missing.ckpt");
         let mut net = network(3);
         assert!(matches!(
             ckpt.restore(&ctx, &mut net).unwrap_err(),
@@ -305,7 +343,7 @@ mod tests {
         let net = network(4);
         let mirror = MirrorModel::allocate(&ctx, &net).unwrap();
         let pm_save = mirror.mirror_out(&ctx, &net).unwrap();
-        let ckpt = SsdCheckpointer::on_shared_clock(&ctx, "model.ckpt");
+        let ckpt = SsdCheckpointBackend::new(ctx.new_ssd(), "model.ckpt");
         let ssd_save = ckpt.save(&ctx, &net).unwrap();
         assert!(
             ssd_save.total_ms() > pm_save.total_ms(),
@@ -324,16 +362,17 @@ mod tests {
     #[test]
     fn tampered_checkpoint_is_rejected() {
         let ctx = ctx_with_key();
-        let ckpt = SsdCheckpointer::on_shared_clock(&ctx, "model.ckpt");
+        let fs = ctx.new_ssd();
+        let ckpt = SsdCheckpointBackend::new(fs.clone(), "model.ckpt");
         let net = network(7);
         ckpt.save(&ctx, &net).unwrap();
         // Corrupt a byte in the middle of the stored file (inside some tensor payload).
-        let raw = ckpt.filesystem().read_all("model.ckpt").unwrap();
+        let raw = fs.read_all("model.ckpt").unwrap();
         let mut corrupted = raw.clone();
         let idx = raw.len() / 2;
         corrupted[idx] ^= 0x01;
-        ckpt.filesystem().create("model.ckpt");
-        ckpt.filesystem().write("model.ckpt", &corrupted);
+        fs.create("model.ckpt");
+        fs.write("model.ckpt", &corrupted);
         let mut restored = network(8);
         assert!(ckpt.restore(&ctx, &mut restored).is_err());
     }

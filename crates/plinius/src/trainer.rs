@@ -5,7 +5,7 @@
 //! medium is any [`ModelPersistence`] implementation (see [`crate::persist`]).
 
 use crate::mirror::{ring_depth_from_env, MirrorModel};
-use crate::persist::{ModelPersistence, NoOpBackend, PersistStats, PersistenceBackend};
+use crate::persist::{ModelPersistence, PersistStats, PersistenceBackend};
 use crate::pmdata::PmDataset;
 use crate::{PliniusContext, PliniusError, TenantId};
 use plinius_crypto::{EnginePolicy, Key};
@@ -13,6 +13,7 @@ use plinius_darknet::config::build_network;
 use plinius_darknet::{Dataset, GemmPolicy, Network};
 use plinius_pmem::CrashMode;
 use plinius_spot::SpotSimulator;
+use plinius_storage::SimFileSystem;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sim_clock::CostModel;
@@ -344,7 +345,8 @@ pub struct TrainingSetup {
     /// Trainer configuration (numeric knobs).
     pub trainer: TrainerConfig,
     /// Declarative persistence spec; [`PliniusBuilder::backend`] overrides it with an
-    /// arbitrary [`ModelPersistence`] implementation.
+    /// arbitrary [`ModelPersistence`] implementation. SSD-backed specs write to the
+    /// SSD given to [`PliniusBuilder::ssd`].
     pub backend: PersistenceBackend,
     /// Model/weight initialisation seed.
     pub model_seed: u64,
@@ -365,10 +367,7 @@ impl TrainingSetup {
                 mirror_frequency: 1,
                 encrypted_data: true,
                 seed: 1,
-                pipeline: PipelineMode::from_env(),
-                ring_depth: ring_depth_from_env(),
-                crypto: EnginePolicy::from_env(),
-                gemm: GemmPolicy::from_env(),
+                ..TrainerConfig::default()
             },
             backend: PersistenceBackend::PmMirror,
             model_seed: 3,
@@ -396,7 +395,9 @@ const LOCAL_KEY_SALT: u64 = 0x6c6f_6361_6c00;
 /// persistence backend be overridden, and wires everything together in `build()`:
 /// register the enclave model's memory, open the PM dataset, and either restore the
 /// model from the backend (if a persisted copy exists) or let the backend prepare
-/// fresh state.
+/// fresh state. The deployment's devices — the context with its PM pool, and the
+/// simulated SSD — are passed in with [`PliniusBuilder::context`] and
+/// [`PliniusBuilder::ssd`].
 ///
 /// ```
 /// use plinius::{PliniusBuilder, TrainingSetup};
@@ -415,6 +416,7 @@ const LOCAL_KEY_SALT: u64 = 0x6c6f_6361_6c00;
 pub struct PliniusBuilder {
     setup: TrainingSetup,
     ctx: Option<PliniusContext>,
+    ssd: Option<SimFileSystem>,
     backend: Option<Box<dyn ModelPersistence>>,
     plain_data: Option<Dataset>,
     tenant: Option<TenantId>,
@@ -426,6 +428,7 @@ impl PliniusBuilder {
         PliniusBuilder {
             setup,
             ctx: None,
+            ssd: None,
             backend: None,
             plain_data: None,
             tenant: None,
@@ -450,15 +453,19 @@ impl PliniusBuilder {
         self
     }
 
-    /// Persists the model through `backend` instead of the declarative
-    /// [`TrainingSetup::backend`] spec.
-    pub fn backend(self, backend: impl ModelPersistence + 'static) -> Self {
-        self.backend_boxed(Box::new(backend))
+    /// The simulated SSD the declarative SSD-backed specs checkpoint to. Like the
+    /// context's PM pool, the disk outlives a simulated process kill only if the
+    /// caller keeps it: pass the same handle to the trainer rebuilt after a restart.
+    /// Without one, SSD-backed specs get a fresh [`PliniusContext::new_ssd`].
+    pub fn ssd(mut self, ssd: SimFileSystem) -> Self {
+        self.ssd = Some(ssd);
+        self
     }
 
-    /// Like [`PliniusBuilder::backend`], for an already-boxed trait object.
-    pub fn backend_boxed(mut self, backend: Box<dyn ModelPersistence>) -> Self {
-        self.backend = Some(backend);
+    /// Persists the model through `backend` instead of the declarative
+    /// [`TrainingSetup::backend`] spec.
+    pub fn backend(mut self, backend: impl ModelPersistence + 'static) -> Self {
+        self.backend = Some(Box::new(backend));
         self
     }
 
@@ -548,6 +555,7 @@ impl PliniusBuilder {
         let PliniusBuilder {
             setup,
             ctx,
+            ssd,
             backend,
             plain_data,
             tenant,
@@ -602,8 +610,10 @@ impl PliniusBuilder {
         ctx.enclave()
             .alloc_trusted((network.model_bytes() * 2) as u64)
             .map_err(PliniusError::from)?;
-        let mut backend =
-            backend.unwrap_or_else(|| setup.backend.instantiate_with_ring(config.ring_depth));
+        let mut backend = backend.unwrap_or_else(|| {
+            let ssd = ssd.unwrap_or_else(|| ctx.new_ssd());
+            setup.backend.instantiate(config.ring_depth, &ssd)
+        });
         if backend.exists(&ctx) {
             backend.restore(&ctx, &mut network)?;
         } else {
@@ -653,8 +663,9 @@ pub struct CrashRunReport {
 /// left off; with `resilient = false` nothing is persisted and every restart begins
 /// from freshly initialised weights (the paper's non-crash-resilient comparison).
 ///
-/// SSD-backed specs write to one durable simulated SSD that — like a real disk —
-/// survives every simulated process kill.
+/// The deployment owns one PM pool and one simulated SSD; both — like real devices —
+/// survive every simulated process kill, so SSD-backed specs resume from their
+/// checkpoint too.
 ///
 /// # Errors
 ///
@@ -671,7 +682,12 @@ pub fn train_with_crash_schedule(
     ctx.provision_key_directly(key.clone());
     PmDataset::load(&ctx, &setup.dataset)?;
     let pool = ctx.pool().clone();
+    let ssd = ctx.new_ssd();
     drop(ctx);
+    let mut run_setup = setup.clone();
+    if !resilient {
+        run_setup.backend = PersistenceBackend::None;
+    }
 
     let mut losses = Vec::new();
     let mut executed = 0u64;
@@ -683,19 +699,10 @@ pub fn train_with_crash_schedule(
         // (Re)open the deployment over the surviving PM pool.
         let ctx = PliniusContext::open(pool.clone(), setup.cost.clone())?;
         ctx.provision_key_directly(key.clone());
-        // SSD-backed specs bind to the deployment's durable shared SSD, which — like a
-        // real disk — outlives every simulated process kill (a crash wipes volatile
-        // state and unflushed PM lines, not the disk).
-        let backend: Box<dyn ModelPersistence> = if resilient {
-            setup
-                .backend
-                .instantiate_with_ring(setup.trainer.ring_depth)
-        } else {
-            Box::new(NoOpBackend)
-        };
-        let mut trainer = PliniusBuilder::new(setup.clone())
+        // A crash wipes volatile state and unflushed PM lines, not the disk.
+        let mut trainer = PliniusBuilder::new(run_setup.clone())
             .context(ctx)
-            .backend_boxed(backend)
+            .ssd(ssd.clone())
             .build()?;
         // Run until the next crash point or completion.
         let next_crash = crash_points.iter().find(|&&p| p > executed).copied();
@@ -939,15 +946,15 @@ mod tests {
 
     #[test]
     fn ssd_backend_also_resumes_across_restarts() {
-        // Unlike the PM pool, the simulated SSD lives in the backend's file system:
-        // carry it across the restart, exactly as a disk would survive a process kill.
+        // Like the PM pool, the simulated SSD is a device of the deployment: carry it
+        // across the restart, exactly as a disk would survive a process kill.
         let mut setup = setup();
         setup.trainer.max_iterations = 8;
         let (ctx, key) = deploy(&setup);
-        let fs = crate::persist::shared_ssd(&ctx);
+        let fs = ctx.new_ssd();
         let mut trainer = PliniusBuilder::new(setup.clone())
             .context(ctx)
-            .backend(crate::persist::SsdCheckpointBackend::on_filesystem(
+            .backend(crate::persist::SsdCheckpointBackend::new(
                 fs.clone(),
                 "ckpt.bin",
             ))
@@ -960,9 +967,7 @@ mod tests {
         ctx2.provision_key_directly(key);
         let mut resumed = PliniusBuilder::new(setup)
             .context(ctx2)
-            .backend(crate::persist::SsdCheckpointBackend::on_filesystem(
-                fs, "ckpt.bin",
-            ))
+            .backend(crate::persist::SsdCheckpointBackend::new(fs, "ckpt.bin"))
             .build()
             .unwrap();
         assert_eq!(resumed.iteration(), 5);

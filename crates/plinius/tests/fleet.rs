@@ -1,10 +1,13 @@
 //! Multi-tenant isolation guarantees, end to end: sealed epochs are rejected
 //! wholesale across tenant key boundaries, a mid-publish crash of one tenant
 //! leaves every bystander tenant's epoch listing and restored weights bit-exact
-//! (fail-point sweep over the whole publish), and per-tenant SSD disks within one
-//! deployment never collide on checkpoint file names.
+//! (fail-point sweep over the whole publish), and tenants of one deployment checkpointing
+//! to the same SSD path never collide.
 
-use plinius::{shared_ssd, MirrorModel, MirrorVfs, PliniusContext, PliniusError, TenantId};
+use plinius::{
+    MirrorModel, MirrorVfs, PersistenceBackend, PliniusBuilder, PliniusContext, PliniusError,
+    PmDataset, TenantId, TrainingSetup,
+};
 use plinius_crypto::Key;
 use plinius_darknet::config::{build_network, mnist_cnn_config};
 use plinius_darknet::Network;
@@ -201,37 +204,41 @@ fn mid_publish_crash_of_one_tenant_leaves_bystanders_bit_exact() {
     }
 }
 
-/// The durable-SSD registry is keyed by (deployment clock, tenant): two tenants
-/// of one deployment writing the same checkpoint path get independent disks,
-/// while re-requesting a tenant's disk returns the same durable files.
+/// Each trainer built from a declarative SSD spec without an explicit SSD gets a
+/// fresh disk of its own, so two tenants of one deployment checkpointing to the
+/// same path never see each other's checkpoint.
 #[test]
 fn tenant_ssd_disks_are_independent_within_one_deployment() {
-    let ctx = PliniusContext::small_test(16 * 1024 * 1024);
-    let ctx_a = ctx.for_tenant(TenantId::new(0).unwrap());
-    let ctx_b = ctx.for_tenant(TenantId::new(1).unwrap());
+    let mut setup = TrainingSetup::small_test();
+    setup.backend = PersistenceBackend::SsdCheckpoint("model.ckpt".into());
+    let ctx = PliniusContext::create(setup.cost.clone(), setup.pm_bytes).unwrap();
+    let tenant = |raw: u64| {
+        let tctx = ctx.for_tenant(TenantId::new(raw).unwrap());
+        let mut rng = StdRng::seed_from_u64(raw + 1);
+        tctx.provision_key_directly(Key::generate_128(&mut rng));
+        PmDataset::load(&tctx, &setup.dataset).unwrap();
+        PliniusBuilder::new(setup.clone())
+            .context(tctx)
+            .build()
+            .unwrap()
+    };
 
-    let disk_a = shared_ssd(&ctx_a);
-    disk_a.write("model.ckpt", b"tenant-a-bytes");
+    let mut trainer_a = tenant(0);
+    trainer_a.run_at_most(3).unwrap();
+    assert!(trainer_a.backend().exists(trainer_a.context()));
 
     // Same path, same deployment, different tenant: a different disk.
-    let disk_b = shared_ssd(&ctx_b);
+    let mut trainer_b = tenant(1);
     assert!(
-        !disk_b.exists("model.ckpt"),
+        !trainer_b.backend().exists(trainer_b.context()),
         "tenant B must not see tenant A's checkpoint"
     );
-    disk_b.write("model.ckpt", b"tenant-b-bytes");
+    assert_eq!(trainer_b.iteration(), 0);
+    assert_eq!(trainer_b.persist_stats().restores, 0);
+    trainer_b.run_at_most(1).unwrap();
 
-    // Re-requesting each tenant's disk is durable and still isolated.
-    assert_eq!(
-        shared_ssd(&ctx_a).read_all("model.ckpt").unwrap(),
-        b"tenant-a-bytes"
-    );
-    assert_eq!(
-        shared_ssd(&ctx_b).read_all("model.ckpt").unwrap(),
-        b"tenant-b-bytes"
-    );
-
-    // A different deployment's tenant 0 is yet another disk.
-    let other = PliniusContext::small_test(16 * 1024 * 1024);
-    assert!(!shared_ssd(&other).exists("model.ckpt"));
+    // Each tenant's checkpoint is still its own.
+    assert_eq!(trainer_a.persist_stats().persists, 3);
+    assert_eq!(trainer_b.persist_stats().persists, 1);
+    assert!(trainer_a.backend().exists(trainer_a.context()));
 }

@@ -4,9 +4,7 @@
 //!
 //! Run with: `cargo run --example crash_resilient_training`
 
-use plinius::{
-    train_with_crash_schedule, PersistenceBackend, PipelineMode, TrainerConfig, TrainingSetup,
-};
+use plinius::{train_with_crash_schedule, PersistenceBackend, TrainerConfig, TrainingSetup};
 use plinius_darknet::{mnist_cnn_config, synthetic_mnist};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,10 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             mirror_frequency: 1,
             encrypted_data: true,
             seed: 2,
-            pipeline: PipelineMode::from_env(),
-            ring_depth: plinius::ring_depth_from_env(),
-            crypto: plinius::EnginePolicy::from_env(),
-            gemm: plinius::GemmPolicy::from_env(),
+            ..TrainerConfig::default()
         },
         backend: PersistenceBackend::PmMirror,
         model_seed: 9,

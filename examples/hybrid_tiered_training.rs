@@ -13,8 +13,7 @@
 //! Run with: `cargo run --example hybrid_tiered_training`
 
 use plinius::{
-    shared_ssd, HybridTieredBackend, PersistenceBackend, PipelineMode, PliniusBuilder,
-    PliniusContext, PmDataset, TrainerConfig, TrainingSetup,
+    PersistenceBackend, PliniusBuilder, PliniusContext, PmDataset, TrainerConfig, TrainingSetup,
 };
 use plinius_crypto::Key;
 use rand::rngs::StdRng;
@@ -36,10 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             mirror_frequency: 1,
             encrypted_data: true,
             seed: 6,
-            pipeline: PipelineMode::from_env(),
-            ring_depth: plinius::ring_depth_from_env(),
-            crypto: plinius::EnginePolicy::from_env(),
-            gemm: plinius::GemmPolicy::from_env(),
+            ..TrainerConfig::default()
         },
         backend: PersistenceBackend::HybridTiered {
             ssd_path: "tier.ckpt".into(),
@@ -49,19 +45,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let key = Key::generate_128(&mut rng);
 
-    // Life 1: deploy and train. The SSD (like a real disk) outlives every crash below.
+    // Life 1: deploy and train. The deployment owns two devices, the PM pool and the
+    // SSD; like a real disk, the SSD outlives every crash below.
     let ctx = PliniusContext::create(setup.cost.clone(), setup.pm_bytes)?;
     ctx.provision_key_directly(key.clone());
     PmDataset::load(&ctx, &setup.dataset)?;
-    let ssd = shared_ssd(&ctx);
+    let ssd = ctx.new_ssd();
     let pool = ctx.pool().clone();
     let mut trainer = PliniusBuilder::new(setup.clone())
         .context(ctx)
-        .backend(HybridTieredBackend::on_filesystem(
-            ssd.clone(),
-            "tier.ckpt",
-            DEMOTE_EVERY,
-        ))
+        .ssd(ssd.clone())
         .build()?;
     trainer.run_at_most(12)?;
     println!(
@@ -79,11 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ctx2.provision_key_directly(key.clone());
     let mut trainer = PliniusBuilder::new(setup.clone())
         .context(ctx2)
-        .backend(HybridTieredBackend::on_filesystem(
-            ssd.clone(),
-            "tier.ckpt",
-            DEMOTE_EVERY,
-        ))
+        .ssd(ssd.clone())
         .build()?;
     println!(
         "life 2: process crash -> PM mirror restored iteration {}",
@@ -101,14 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ctx3.provision_key_directly(key);
     PmDataset::load(&ctx3, &setup.dataset)?;
     let ssd = ssd.rebound(ctx3.clock(), ctx3.stats());
-    let mut trainer = PliniusBuilder::new(setup)
-        .context(ctx3)
-        .backend(HybridTieredBackend::on_filesystem(
-            ssd,
-            "tier.ckpt",
-            DEMOTE_EVERY,
-        ))
-        .build()?;
+    let mut trainer = PliniusBuilder::new(setup).context(ctx3).ssd(ssd).build()?;
     println!(
         "life 3: PM module lost at iteration {before_pm_loss} -> SSD checkpoint restored \
          iteration {} ({} iterations lost, bounded by the demotion interval)",

@@ -11,8 +11,8 @@
 //! Run with: `cargo run --release --example secure_inference`
 
 use plinius::{
-    InferenceServer, PersistenceBackend, PipelineMode, PliniusBuilder, ServeConfig, ServeSession,
-    TrainerConfig, TrainingSetup,
+    InferenceServer, PersistenceBackend, PliniusBuilder, ServeConfig, ServeSession, TrainerConfig,
+    TrainingSetup,
 };
 use plinius_darknet::{mnist_cnn_config, synthetic_mnist};
 use rand::rngs::StdRng;
@@ -34,10 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             mirror_frequency: 10,
             encrypted_data: true,
             seed: 33,
-            pipeline: PipelineMode::from_env(),
-            ring_depth: plinius::ring_depth_from_env(),
-            crypto: plinius::EnginePolicy::from_env(),
-            gemm: plinius::GemmPolicy::from_env(),
+            ..TrainerConfig::default()
         },
         backend: PersistenceBackend::PmMirror,
         model_seed: 8,

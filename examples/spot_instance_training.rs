@@ -5,8 +5,8 @@
 //! Run with: `cargo run --example spot_instance_training [trace.csv]`
 
 use plinius::{
-    spot_crash_schedule, train_with_crash_schedule, PersistenceBackend, PipelineMode,
-    TrainerConfig, TrainingSetup,
+    spot_crash_schedule, train_with_crash_schedule, PersistenceBackend, TrainerConfig,
+    TrainingSetup,
 };
 use plinius_darknet::{mnist_cnn_config_with_momentum, synthetic_mnist};
 use plinius_spot::{SpotSimulator, SpotTrace};
@@ -44,10 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             mirror_frequency: 1,
             encrypted_data: true,
             seed: 21,
-            pipeline: PipelineMode::from_env(),
-            ring_depth: plinius::ring_depth_from_env(),
-            crypto: plinius::EnginePolicy::from_env(),
-            gemm: plinius::GemmPolicy::from_env(),
+            ..TrainerConfig::default()
         },
         backend: PersistenceBackend::PmMirror,
         model_seed: 4,

@@ -2,8 +2,8 @@
 //! separate contexts, and the PM-vs-SSD comparison exercised end to end.
 
 use plinius::{
-    train_with_crash_schedule, MirrorModel, PersistenceBackend, PipelineMode, PliniusBuilder,
-    PliniusContext, PmDataset, TrainerConfig, TrainingSetup,
+    train_with_crash_schedule, MirrorModel, PersistenceBackend, PliniusBuilder, PliniusContext,
+    PmDataset, TrainerConfig, TrainingSetup,
 };
 use plinius_crypto::Key;
 use plinius_darknet::{mnist_cnn_config, synthetic_mnist};
@@ -75,10 +75,7 @@ fn mirror_and_resume_across_contexts_with_key_reprovisioning() {
             mirror_frequency: 1,
             encrypted_data: true,
             seed: 5,
-            pipeline: PipelineMode::from_env(),
-            ring_depth: plinius::ring_depth_from_env(),
-            crypto: plinius::EnginePolicy::from_env(),
-            gemm: plinius::GemmPolicy::from_env(),
+            ..TrainerConfig::default()
         },
         backend: PersistenceBackend::PmMirror,
         model_seed: 13,

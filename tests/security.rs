@@ -3,8 +3,8 @@
 //! PM-resident training data, and attestation-gated key provisioning.
 
 use plinius::{
-    shared_ssd, HybridTieredBackend, MirrorModel, PliniusBuilder, PliniusContext, PliniusError,
-    PmDataset, TrainingSetup,
+    ring_depth_from_env, HybridTieredBackend, MirrorModel, PliniusBuilder, PliniusContext,
+    PliniusError, PmDataset, TrainingSetup,
 };
 use plinius_crypto::{CryptoError, Key};
 use plinius_darknet::{mnist_cnn_config, synthetic_mnist};
@@ -103,13 +103,14 @@ fn demoted_ssd_checkpoints_are_not_stored_in_plaintext() {
     let ctx = PliniusContext::create(setup.cost.clone(), setup.pm_bytes).unwrap();
     ctx.provision_key_directly(key);
     PmDataset::load(&ctx, &setup.dataset).unwrap();
-    let ssd = shared_ssd(&ctx);
+    let ssd = ctx.new_ssd();
     let mut trainer = PliniusBuilder::new(setup)
         .context(ctx)
-        .backend(HybridTieredBackend::on_filesystem(
+        .backend(HybridTieredBackend::new(
             ssd.clone(),
             "tier.ckpt",
             2,
+            ring_depth_from_env(),
         ))
         .max_iterations(4)
         .build()
